@@ -1,14 +1,13 @@
 """repro.backend — the compute core every model-math layer runs on.
 
-One place owns dtype and engine decisions: a :class:`ComputePolicy`
-names them, the op set (grouped/fused convolution, ridge margins,
-softmax) executes them, and everything above — classifier families,
-serialization, the serving registry and prediction service — threads the
-policy through instead of hard-coding numpy calls.  Fitting stays
+One place owns dtype decisions: a :class:`ComputePolicy` names the
+dtype, the op set (grouped/fused convolution, ridge margins, softmax)
+executes it, and everything above — classifier families, serialization,
+the serving registry and prediction service — threads the policy
+through instead of hard-coding numpy calls.  Fitting stays
 float64 (``FIT_POLICY``, bit-identical to the historical path); serving
 defaults to float32 (``INFERENCE_POLICY``) over the fused one-GEMM
-banks; the optional numba engine is a silent speed-only fallback.  See
-``docs/architecture.md`` (Backend layer) for the contract.
+banks.  See ``docs/architecture.md`` (Backend layer) for the contract.
 """
 
 from .bank import is_mmap_backed, open_npz
@@ -20,7 +19,6 @@ from .core import (
     apply_inference_policy,
     fold_ridge,
     grouped_conv,
-    numba_available,
     ridge_margins,
     softmax,
 )
@@ -43,7 +41,6 @@ __all__ = [
     "fold_ridge",
     "grouped_conv",
     "is_mmap_backed",
-    "numba_available",
     "open_npz",
     "parity_report",
     "ridge_margins",

@@ -1,30 +1,24 @@
 """Compute-core policy and the small op set the classifier families share.
 
 The backend layer makes the serving fast path explicit instead of ad-hoc
-per-classifier numpy: a :class:`ComputePolicy` names the dtype and
-execution engine a model should run under, and the ops here are the only
-places model math happens — batched grouped convolution
-(:func:`grouped_conv`), the fused conv+PPV banks (:mod:`repro.backend.fused`),
-ridge margin application (:func:`ridge_margins`, :func:`fold_ridge`) and
-:func:`softmax`.
+per-classifier numpy: a :class:`ComputePolicy` names the dtype a model
+should run under, and the ops here are the only places model math
+happens — batched grouped convolution (:func:`grouped_conv`), the fused
+conv+PPV banks (:mod:`repro.backend.fused`), ridge margin application
+(:func:`ridge_margins`, :func:`fold_ridge`) and :func:`softmax`.
 
 Two policies matter in practice:
 
-* ``FIT_POLICY`` — ``float64`` / ``numpy``.  Fitting stays in double
-  precision, bit-identical to the historical code path; every existing
-  test and cached artifact is unchanged.
-* ``INFERENCE_POLICY`` — ``float32`` / ``numpy``.  The serving default:
-  kernel banks and ridge heads are cast once at policy-application time,
-  the transform runs through the fused one-GEMM bank when the model is
+* ``FIT_POLICY`` — ``float64``.  Fitting stays in double precision,
+  bit-identical to the historical code path; every existing test and
+  cached artifact is unchanged.
+* ``INFERENCE_POLICY`` — ``float32``.  The serving default: kernel banks
+  and ridge heads are cast once at policy-application time, the
+  transform runs through the fused one-GEMM bank when the model is
   small enough to unroll, and probabilities come out within a documented
   tolerance of the float64 path (labels bit-identical in practice —
   ridge margins are far wider than float32 noise; the parity suite pins
   this).
-
-The ``numba`` engine is **optional**: when numba is not importable the
-policy silently resolves to ``numpy`` — engine selection may change
-speed, never answers, and a missing accelerator must never take serving
-down.
 """
 
 from __future__ import annotations
@@ -41,29 +35,16 @@ __all__ = [
     "apply_inference_policy",
     "fold_ridge",
     "grouped_conv",
-    "numba_available",
     "ridge_margins",
     "softmax",
 ]
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
-_ENGINES = ("numpy", "numba")
-
-
-def numba_available() -> bool:
-    """Whether the optional numba engine can actually run.
-
-    Imported lazily and memoised by :mod:`repro.backend.numba_engine`;
-    the answer gates engine resolution, never correctness.
-    """
-    from . import numba_engine
-
-    return numba_engine.NUMBA_AVAILABLE
 
 
 @dataclass(frozen=True)
 class ComputePolicy:
-    """Execution policy for model math: dtype and engine.
+    """Execution policy for model math: the dtype it computes in.
 
     Parameters
     ----------
@@ -72,15 +53,9 @@ class ComputePolicy:
         inference default).  Under float32 the classifier families cast
         their kernel banks and ridge heads once, then run every predict
         in single precision.
-    engine:
-        ``"numpy"`` or ``"numba"``.  The numba engine is best-effort:
-        :meth:`resolved_engine` falls back to numpy silently when numba
-        is not importable, so a policy recorded at publish time on a
-        numba-equipped box still loads everywhere.
     """
 
     dtype: str = "float64"
-    engine: str = "numpy"
 
     def __post_init__(self):
         if self.dtype not in _DTYPES:
@@ -88,42 +63,31 @@ class ComputePolicy:
                 f"unknown compute dtype {self.dtype!r}; "
                 f"expected one of {sorted(_DTYPES)}"
             )
-        if self.engine not in _ENGINES:
-            raise ValueError(
-                f"unknown compute engine {self.engine!r}; "
-                f"expected one of {_ENGINES}"
-            )
 
     @property
     def np_dtype(self) -> np.dtype:
         """The numpy dtype this policy computes in."""
         return np.dtype(_DTYPES[self.dtype])
 
-    def resolved_engine(self) -> str:
-        """The engine that will actually run: ``numba`` only when it is
-        importable, ``numpy`` otherwise (the documented silent fallback)."""
-        if self.engine == "numba" and not numba_available():
-            return "numpy"
-        return self.engine
-
     def as_dict(self) -> dict:
         """JSON-ready form, as recorded in registry metadata at publish."""
-        return {"dtype": self.dtype, "engine": self.engine}
+        return {"dtype": self.dtype}
 
     @classmethod
     def from_dict(cls, data: dict | None) -> "ComputePolicy | None":
         """Rebuild a policy from :meth:`as_dict` output (``None`` passes
-        through, so metadata without a policy stays policy-less)."""
+        through, so metadata without a policy stays policy-less).  Keys
+        other than ``dtype`` are ignored: older manifests also recorded
+        an execution engine, which never changed answers."""
         if not data:
             return None
-        return cls(dtype=data.get("dtype", "float64"),
-                   engine=data.get("engine", "numpy"))
+        return cls(dtype=data.get("dtype", "float64"))
 
 
 #: fitting stays double precision — the historical, bit-pinned path
-FIT_POLICY = ComputePolicy("float64", "numpy")
-#: the serving default: float32 banks, fused path, numpy engine
-INFERENCE_POLICY = ComputePolicy("float32", "numpy")
+FIT_POLICY = ComputePolicy("float64")
+#: the serving default: float32 banks, fused path
+INFERENCE_POLICY = ComputePolicy("float32")
 
 
 def apply_inference_policy(model, policy: ComputePolicy | None):

@@ -6,11 +6,11 @@ probabilities must agree within a documented tolerance
 (:data:`PROBA_ATOL`).  This module is the single implementation of that
 check, used three ways:
 
-* at publish time, to gate recording a non-default engine (numba) into
-  model metadata — a model never ships with an engine that disagrees
-  with the numpy reference;
+* at publish time, to gate recording a policy into model metadata — a
+  model never ships with a policy that disagrees with the float64
+  reference;
 * by the CI ``backend-parity`` job, sweeping float64-vs-float32 across
-  every classifier family (and numpy-vs-numba where numba exists);
+  every classifier family;
 * by the test suite, as the assertion helper for the stream-parity and
   contract sweeps.
 """
@@ -27,9 +27,9 @@ from .core import FIT_POLICY, ComputePolicy, apply_inference_policy
 __all__ = ["PROBA_ATOL", "ParityReport", "parity_report", "check_parity"]
 
 #: documented probability tolerance between the float64 reference and any
-#: other policy (float32 banks, folded ridge heads, fused GEMM ordering,
-#: numba loop ordering).  Ridge margins and softmax gaps between classes
-#: are orders of magnitude wider in practice; the sweep pins that.
+#: other policy (float32 banks, folded ridge heads, fused GEMM ordering).
+#: Ridge margins and softmax gaps between classes are orders of magnitude
+#: wider in practice; the sweep pins that.
 PROBA_ATOL = 1e-3
 
 
@@ -51,9 +51,8 @@ class ParityReport:
     def summary(self) -> str:
         """One-line human-readable verdict (used by CI and the bench)."""
         status = "OK" if self.ok else "FAIL"
-        return (f"parity[{self.policy.dtype}/{self.policy.engine} vs "
-                f"{self.reference.dtype}/{self.reference.engine}] {status}: "
-                f"labels_equal={self.labels_equal} "
+        return (f"parity[{self.policy.dtype} vs {self.reference.dtype}] "
+                f"{status}: labels_equal={self.labels_equal} "
                 f"max_proba_diff={self.max_proba_diff:.3e} "
                 f"(atol={PROBA_ATOL:g}, n={self.n_samples})")
 

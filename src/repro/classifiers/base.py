@@ -32,8 +32,10 @@ import numpy as np
 from .._validation import check_panel, check_panel_labels
 from ..backend import ComputePolicy
 from ..backend import softmax as _backend_softmax
+from ..cache import caching_enabled, digest_array, feature_cache
 
-__all__ = ["Classifier", "RidgeFeatureClassifier", "accuracy_score", "softmax"]
+__all__ = ["Classifier", "ConvolutionalTransform", "RidgeFeatureClassifier",
+           "accuracy_score", "softmax"]
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -213,3 +215,53 @@ class RidgeFeatureClassifier(Classifier):
         the calibration caveat).
         """
         return softmax(self.decision_function(X))
+
+
+class ConvolutionalTransform(ABC):
+    """The surface ROCKET and MiniRocket share around their one feature
+    path, ``_transform(X, dtype)``: panel validation against
+    ``_fit_shape``, the ``_policy`` dtype and the feature cache."""
+
+    #: feature-cache namespace, one per family
+    _cache_tag: str
+
+    @abstractmethod
+    def _transform(self, X: np.ndarray, dtype: np.dtype) -> np.ndarray:
+        """The family's features for a validated panel, in *dtype*."""
+
+    def transform(self, X: np.ndarray) -> np.ndarray:
+        """``(n_series, n_features)`` features in the active policy's
+        dtype (float64 without a policy)."""
+        if self.input_shape is None:
+            raise RuntimeError(
+                f"{type(self).__name__}.transform called before fit")
+        X = check_panel(X)
+        if X.shape[1:] != self.input_shape:
+            raise ValueError(f"panel shape {X.shape[1:]} differs from fit "
+                             f"shape {self.input_shape}")
+        X = np.nan_to_num(X, nan=0.0)
+        policy = self.compute_policy
+        dtype = np.dtype(np.float64) if policy is None else policy.np_dtype
+        # Transforms restored by serialization predate the fit digest;
+        # they simply bypass the cache.
+        fit_digest = getattr(self, "_fit_digest", None)
+        if not caching_enabled() or fit_digest is None:
+            return self._transform(X, dtype)
+        key = (self._cache_tag, dtype.name, fit_digest, digest_array(X))
+        return feature_cache().get_or_create(
+            key, lambda: self._transform(X, dtype))
+
+    def fit_transform(self, X: np.ndarray) -> np.ndarray:
+        return self.fit(X).transform(X)
+
+    @property
+    def compute_policy(self) -> ComputePolicy | None:
+        """The active inference policy (``None`` = historical float64)."""
+        return getattr(self, "_policy", None)
+
+    @property
+    def input_shape(self) -> tuple[int, int] | None:
+        """``(n_channels, length)`` the transform was fitted on, or ``None``
+        before fit — the shape every future panel must match."""
+        shape = getattr(self, "_fit_shape", None)
+        return tuple(shape) if shape is not None else None

@@ -20,7 +20,7 @@ from .._rng import ensure_rng
 from .._validation import check_panel
 from ..backend import ComputePolicy, MiniRocketBank
 from ..cache import caching_enabled, digest_array, digest_rng, feature_cache
-from .base import RidgeFeatureClassifier
+from .base import ConvolutionalTransform, RidgeFeatureClassifier
 from .ridge import RidgeClassifierCV
 
 __all__ = ["MiniRocketTransform", "MiniRocketClassifier"]
@@ -39,8 +39,11 @@ def _canonical_kernels() -> np.ndarray:
     return np.asarray(rows)
 
 
-class MiniRocketTransform:
-    """Deterministic PPV features from the 84 canonical kernels."""
+class MiniRocketTransform(ConvolutionalTransform):
+    """Deterministic PPV features from the 84 canonical kernels, in plan
+    order."""
+
+    _cache_tag = "minirocket-features"
 
     #: the bias quantiles read panel values, so fit depends on the data —
     #: the protocol must fit on exactly the panel it will train on
@@ -119,80 +122,24 @@ class MiniRocketTransform:
                                               dtype=policy.np_dtype)
         return self
 
-    @property
-    def compute_policy(self) -> ComputePolicy | None:
-        """The active inference policy (``None`` = historical float64)."""
-        return getattr(self, "_policy", None)
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        if not hasattr(self, "_plan"):
-            raise RuntimeError("MiniRocketTransform.transform called before fit")
-        X = check_panel(X)
-        if X.shape[1:] != self._fit_shape:
-            raise ValueError(f"panel shape {X.shape[1:]} differs from fit shape {self._fit_shape}")
-        X = np.nan_to_num(X, nan=0.0)
-
-        policy = getattr(self, "_policy", None)
-        if policy is not None and (policy.np_dtype != np.float64
-                                   or policy.resolved_engine() != "numpy"):
-            compute = lambda: self._transform_under(X, policy)  # noqa: E731
-            cache_tag = ("minirocket-features", policy.dtype,
-                         policy.resolved_engine())
-        else:
-            def compute() -> np.ndarray:
-                kernels = _canonical_kernels()
-                parts = []
-                for dilation, padding, channel_choice, biases in self._plan:
-                    responses = self._convolve(X, kernels, dilation, padding, channel_choice)
-                    # PPV against each bias quantile: (n, k, features_per_combo)
-                    ppv = (responses[:, :, None, :] > biases[None, :, :, None]).mean(axis=3)
-                    parts.append(ppv.reshape(len(X), -1))
-                return np.concatenate(parts, axis=1)
-            cache_tag = ("minirocket-features",)
-
-        fit_digest = getattr(self, "_fit_digest", None)
-        if not caching_enabled() or fit_digest is None:
-            return compute()
-        key = (*cache_tag, fit_digest, digest_array(X))
-        return feature_cache().get_or_create(key, compute)
-
-    def _transform_under(self, X: np.ndarray, policy: ComputePolicy) -> np.ndarray:
-        """Policy-dtype transform: numba engine, fused bank, or grouped
-        fallback — plan-order feature layout in every case."""
-        dtype = policy.np_dtype
-        if policy.resolved_engine() == "numba":
-            from ..backend.numba_engine import minirocket_entry_ppv
-
-            kernels = _canonical_kernels()
-            parts = []
-            for dilation, padding, channel_choice, biases in self._plan:
-                ppv = minirocket_entry_ppv(X, kernels, channel_choice, biases,
-                                           dilation, padding, dtype=dtype)
-                parts.append(ppv.reshape(len(X), -1))
-            return np.concatenate(parts, axis=1)
+    def _transform(self, X: np.ndarray, dtype: np.dtype) -> np.ndarray:
+        """Features in *dtype*: the fused bank when one was built for that
+        dtype, the grouped convolution otherwise — plan-order layout
+        either way."""
         bank = getattr(self, "_bank", None)
         if bank is not None and bank.dtype == dtype:
-            return bank.transform(np.asarray(X, dtype=dtype))
+            return bank.transform(X)
         kernels = np.asarray(_canonical_kernels(), dtype=dtype)
         X = np.asarray(X, dtype=dtype)
         parts = []
         for dilation, padding, channel_choice, biases in self._plan:
             responses = self._convolve(X, kernels, dilation, padding, channel_choice)
+            # PPV against each bias quantile: (n, k, features_per_combo)
             thresholds = np.asarray(biases, dtype=dtype)
             ppv = (responses[:, :, None, :]
                    > thresholds[None, :, :, None]).mean(axis=3, dtype=dtype)
             parts.append(ppv.reshape(len(X), -1))
         return np.concatenate(parts, axis=1)
-
-    def fit_transform(self, X: np.ndarray) -> np.ndarray:
-        return self.fit(X).transform(X)
-
-    @property
-    def input_shape(self) -> tuple[int, int] | None:
-        """``(n_channels, length)`` the transform was fitted on, or ``None``
-        before fit — the shape every future panel must match."""
-        shape = getattr(self, "_fit_shape", None)
-        return tuple(shape) if shape is not None else None
 
     @staticmethod
     def _convolve(X: np.ndarray, kernels: np.ndarray, dilation: int, padding: int,
@@ -210,7 +157,8 @@ class MiniRocketTransform:
         )
         picked = windows[:, channel_choice, :, :]  # (n, k, L, out)
         # Contract the kernel-length axis with one batched matmul (kernels
-        # as (k, 1, L) row vectors) instead of einsum; see RocketTransform.
+        # as (k, 1, L) row vectors) instead of einsum; see
+        # repro.backend.grouped_conv.
         responses = np.matmul(kernels[None, :, None, :], np.ascontiguousarray(picked))
         return responses[:, :, 0, :]
 

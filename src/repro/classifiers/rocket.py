@@ -27,8 +27,8 @@ import numpy as np
 from .._rng import ensure_rng
 from .._validation import check_panel
 from ..backend import ComputePolicy, RocketBank, grouped_conv
-from ..cache import caching_enabled, digest_array, digest_rng, feature_cache
-from .base import RidgeFeatureClassifier
+from ..cache import caching_enabled, digest_rng, feature_cache
+from .base import ConvolutionalTransform, RidgeFeatureClassifier
 from .ridge import RidgeClassifierCV
 
 __all__ = ["RocketTransform", "RocketClassifier"]
@@ -47,8 +47,9 @@ class _KernelGroup:
     biases: np.ndarray  # (n_kernels,)
 
 
-class RocketTransform:
-    """Random convolutional feature extractor.
+class RocketTransform(ConvolutionalTransform):
+    """Random convolutional feature extractor: ``(n_series, 2 *
+    num_kernels)`` features, PPV then max.
 
     Parameters
     ----------
@@ -58,6 +59,8 @@ class RocketTransform:
     seed:
         Kernel-sampling seed.
     """
+
+    _cache_tag = "rocket-features"
 
     #: fit() reads only the panel's shape, never its values — fitting on
     #: the real training panel equals fitting on an augmented one, which
@@ -147,62 +150,14 @@ class RocketTransform:
                                           dtype=policy.np_dtype)
         return self
 
-    @property
-    def compute_policy(self) -> ComputePolicy | None:
-        """The active inference policy (``None`` = historical float64)."""
-        return getattr(self, "_policy", None)
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        """Extract ``(n_series, 2 * num_kernels)`` features (PPV then max)."""
-        if self._groups is None:
-            raise RuntimeError("RocketTransform.transform called before fit")
-        X = check_panel(X)
-        if X.shape[1:] != self._fit_shape:
-            raise ValueError(f"panel shape {X.shape[1:]} differs from fit shape {self._fit_shape}")
-        X = np.nan_to_num(X, nan=0.0)
-
-        policy = getattr(self, "_policy", None)
-        if policy is not None and (policy.np_dtype != np.float64
-                                   or policy.resolved_engine() != "numpy"):
-            compute = lambda: self._transform_under(X, policy)  # noqa: E731
-            cache_tag = ("rocket-features", policy.dtype, policy.resolved_engine())
-        else:
-            def compute() -> np.ndarray:
-                ppv_parts, max_parts = [], []
-                for group in self._groups:
-                    responses = self._convolve_group(X, group)  # (n, k, out_len)
-                    ppv_parts.append((responses > 0).mean(axis=2))
-                    max_parts.append(responses.max(axis=2))
-                return np.concatenate(ppv_parts + max_parts, axis=1)
-            cache_tag = ("rocket-features",)
-
-        # Transforms restored by serialization predate the fit digest; they
-        # simply bypass the cache.
-        fit_digest = getattr(self, "_fit_digest", None)
-        if not caching_enabled() or fit_digest is None:
-            return compute()
-        key = (*cache_tag, fit_digest, digest_array(X))
-        return feature_cache().get_or_create(key, compute)
-
-    def _transform_under(self, X: np.ndarray, policy: ComputePolicy) -> np.ndarray:
-        """Policy-dtype transform: numba engine, fused bank, or grouped
-        fallback — same feature layout (all PPV, then all max) as the
-        historical path in every case."""
-        dtype = policy.np_dtype
-        if policy.resolved_engine() == "numba":
-            from ..backend.numba_engine import rocket_group_ppv_max
-
-            ppv_parts, max_parts = [], []
-            for group in self._groups:
-                ppv, maxima = rocket_group_ppv_max(
-                    X, group.weights, group.biases, group.dilation,
-                    group.padding, dtype=dtype)
-                ppv_parts.append(ppv)
-                max_parts.append(maxima)
-            return np.concatenate(ppv_parts + max_parts, axis=1)
+    def _transform(self, X: np.ndarray, dtype: np.dtype) -> np.ndarray:
+        """Features in *dtype*: the fused bank when one was built for that
+        dtype, the grouped op otherwise — one layout (all PPV, then all
+        max) either way.  At float64 the grouped op reproduces the
+        historical ROCKET group convolution bit for bit."""
         bank = getattr(self, "_bank", None)
         if bank is not None and bank.dtype == dtype:
-            return bank.transform(np.asarray(X, dtype=dtype))
+            return bank.transform(X)
         ppv_parts, max_parts = [], []
         for group in self._groups:
             responses = grouped_conv(X, group.weights, group.biases,
@@ -210,23 +165,6 @@ class RocketTransform:
             ppv_parts.append((responses > 0).mean(axis=2, dtype=dtype))
             max_parts.append(responses.max(axis=2))
         return np.concatenate(ppv_parts + max_parts, axis=1)
-
-    def fit_transform(self, X: np.ndarray) -> np.ndarray:
-        return self.fit(X).transform(X)
-
-    @property
-    def input_shape(self) -> tuple[int, int] | None:
-        """``(n_channels, length)`` the transform was fitted on, or ``None``
-        before fit — the shape every future panel must match."""
-        shape = getattr(self, "_fit_shape", None)
-        return tuple(shape) if shape is not None else None
-
-    @staticmethod
-    def _convolve_group(X: np.ndarray, group: _KernelGroup) -> np.ndarray:
-        """Historical float64 group convolution — now a thin delegate to
-        the backend op, which reproduces it bit for bit."""
-        return grouped_conv(X, group.weights, group.biases, group.dilation,
-                            group.padding, dtype=np.float64)
 
 
 class RocketClassifier(RidgeFeatureClassifier):

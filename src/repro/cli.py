@@ -104,11 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compute policy recorded for serving; fitting "
                             "always runs float64 (float32 serves the fused "
                             "fast path within the documented tolerance)")
-    train.add_argument("--backend", choices=("numpy", "numba"),
-                       default="numpy",
-                       help="execution engine recorded for serving; numba "
-                            "is parity-gated at publish and silently falls "
-                            "back to numpy where unavailable")
 
     predict = commands.add_parser(
         "predict", help="classify series with a registry model"
@@ -166,10 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override every model's published compute "
                             "policy (default: honour metadata, float32 "
                             "when unrecorded)")
-    serve.add_argument("--backend", choices=("numpy", "numba"), default=None,
-                       help="override the execution engine (with "
-                            "--infer-dtype; numba silently falls back to "
-                            "numpy where unavailable)")
     serve.add_argument("--verbose", action="store_true",
                        help="log one line per HTTP request")
     serve.add_argument("--workers", type=int, default=1,
@@ -187,33 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("name", help="served model name")
     stream.add_argument("--url", default="http://127.0.0.1:8080",
                         help="base URL of a running `repro serve`")
-    source = stream.add_mutually_exclusive_group(required=True)
-    source.add_argument("--dataset", default=None,
-                        help="replay this archive dataset's test split")
-    source.add_argument("--input", default=None,
-                        help="JSON file: a panel, or one channels x length "
-                             "series, replayed sample by sample")
-    source.add_argument("--synthetic-like", default=None, metavar="DATASET",
-                        help="stream fresh series from the dataset's own "
-                             "generator (supports --shift-at)")
-    stream.add_argument("--window", type=int, default=None,
-                        help="window length (default: the source's series "
-                             "length)")
-    stream.add_argument("--hop", type=int, default=None,
-                        help="samples between windows (default: window — "
-                             "tumbling)")
-    stream.add_argument("--version", default=None,
-                        help="model version number or tag (default: latest)")
-    stream.add_argument("--scale", choices=("small", "full"), default="small")
-    stream.add_argument("--series", type=int, default=50,
-                        help="series count for --synthetic-like")
-    stream.add_argument("--seed", type=int, default=0,
-                        help="stream seed for --synthetic-like")
-    stream.add_argument("--shift-at", type=int, default=None,
-                        help="induce a concept shift (prototype swap) after "
-                             "this many samples (--synthetic-like only)")
-    stream.add_argument("--limit", type=int, default=None,
-                        help="stop after this many samples")
+    _add_replay_arguments(stream)
     stream.add_argument("--no-labels", action="store_true",
                         help="withhold ground-truth labels (drift detection "
                              "falls back to the prediction distribution)")
@@ -236,33 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     adapt.add_argument("name", help="registry model name")
     adapt.add_argument("--registry", required=True)
-    source = adapt.add_mutually_exclusive_group(required=True)
-    source.add_argument("--dataset", default=None,
-                        help="replay this archive dataset's test split")
-    source.add_argument("--input", default=None,
-                        help="JSON file: a panel, or one channels x length "
-                             "series, replayed sample by sample")
-    source.add_argument("--synthetic-like", default=None, metavar="DATASET",
-                        help="stream fresh series from the dataset's own "
-                             "generator (supports --shift-at)")
-    adapt.add_argument("--window", type=int, default=None,
-                       help="window length (default: the source's series "
-                            "length)")
-    adapt.add_argument("--hop", type=int, default=None,
-                       help="samples between windows (default: window)")
-    adapt.add_argument("--version", default=None,
-                       help="stable version number or tag to score with "
-                            "(default: latest)")
-    adapt.add_argument("--scale", choices=("small", "full"), default="small")
-    adapt.add_argument("--series", type=int, default=50,
-                       help="series count for --synthetic-like")
-    adapt.add_argument("--seed", type=int, default=0,
-                       help="stream seed for --synthetic-like")
-    adapt.add_argument("--shift-at", type=int, default=None,
-                       help="induce a concept shift (prototype swap) after "
-                            "this many samples (--synthetic-like only)")
-    adapt.add_argument("--limit", type=int, default=None,
-                       help="stop after this many samples")
+    _add_replay_arguments(adapt)
     adapt.add_argument("--no-labels", action="store_true",
                        help="withhold ground-truth labels (drift uses the "
                             "confidence EWMA; retraining self-trains on "
@@ -355,6 +294,39 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--json", action="store_true", dest="as_json",
                        help="print the replay summary as one JSON object")
     return parser
+
+
+def _add_replay_arguments(parser: argparse.ArgumentParser) -> None:
+    """The sample source and windowing flags shared by ``stream`` and
+    ``adapt``: both replay a source sample by sample through a scorer."""
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--dataset", default=None,
+                        help="replay this archive dataset's test split")
+    source.add_argument("--input", default=None,
+                        help="JSON file: a panel, or one channels x length "
+                             "series, replayed sample by sample")
+    source.add_argument("--synthetic-like", default=None, metavar="DATASET",
+                        help="stream fresh series from the dataset's own "
+                             "generator (supports --shift-at)")
+    parser.add_argument("--window", type=int, default=None,
+                        help="window length (default: the source's series "
+                             "length)")
+    parser.add_argument("--hop", type=int, default=None,
+                        help="samples between windows (default: window — "
+                             "tumbling)")
+    parser.add_argument("--version", default=None,
+                        help="model version number or tag to score with "
+                             "(default: latest)")
+    parser.add_argument("--scale", choices=("small", "full"), default="small")
+    parser.add_argument("--series", type=int, default=50,
+                        help="series count for --synthetic-like")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="stream seed for --synthetic-like")
+    parser.add_argument("--shift-at", type=int, default=None,
+                        help="induce a concept shift (prototype swap) after "
+                             "this many samples (--synthetic-like only)")
+    parser.add_argument("--limit", type=int, default=None,
+                        help="stop after this many samples")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -570,10 +542,9 @@ def _cmd_train(args) -> int:
     )
     from .backend import ComputePolicy
 
-    policy = ComputePolicy(dtype=args.infer_dtype, engine=args.backend)
     record = ModelRegistry(args.registry).publish(
         model, name, metadata=metadata, tags=tuple(args.tag or ()),
-        compute_policy=policy,
+        compute_policy=ComputePolicy(dtype=args.infer_dtype),
         # The publish-time parity sweep runs on the (preprocessed) test
         # panel: the recorded policy is only written if labels match the
         # float64 reference bit-for-bit and probabilities stay within
@@ -631,8 +602,29 @@ def _cmd_predict(args) -> int:
     return 0
 
 
+def _replay(args):
+    """``(samples, window)`` for the replay flags, samples cut at
+    ``--limit``; ``None`` once a bad source is reported (exit 2)."""
+    import json
+
+    try:
+        source, default_window = _stream_source(args)
+    except (KeyError, OSError, json.JSONDecodeError, ValueError) as error:
+        message = error.args[0] if isinstance(error, KeyError) else error
+        print(f"error: {message}", file=sys.stderr)
+        return None
+
+    def samples():
+        for sample in source:
+            if args.limit is not None and sample.t >= args.limit:
+                return
+            yield sample
+
+    return samples(), args.window or default_window
+
+
 def _stream_source(args):
-    """Build the (source, default_window) pair for `repro stream`."""
+    """Build the (source, default_window) pair for :func:`_replay`."""
     import json
 
     import numpy as np
@@ -672,19 +664,12 @@ def _cmd_stream(args) -> int:
     if args.resume and args.session is None:
         print("error: --resume requires --session", file=sys.stderr)
         return 2
-    try:
-        source, default_window = _stream_source(args)
-    except (KeyError, OSError, json.JSONDecodeError, ValueError) as error:
-        message = error.args[0] if isinstance(error, KeyError) else error
-        print(f"error: {message}", file=sys.stderr)
+    replay = _replay(args)
+    if replay is None:
         return 2
-    window = args.window or default_window
-
-    def samples():
-        for sample in source:
-            if args.limit is not None and sample.t >= args.limit:
-                return
-            yield (sample.values, None if args.no_labels else sample.label)
+    replayed, window = replay
+    samples = ((sample.values, None if args.no_labels else sample.label)
+               for sample in replayed)
 
     failed = False
     try:
@@ -694,13 +679,13 @@ def _cmd_stream(args) -> int:
             # lost or repeated; --resume re-attaches a session an
             # earlier process left behind, replaying its cached lines.
             events = stream_session(
-                url.hostname, url.port, args.name, samples(),
+                url.hostname, url.port, args.name, samples,
                 window=window, hop=args.hop, version=args.version,
                 session=args.session,
                 resume_from=0 if args.resume else None)
         else:
             events = stream_windows(url.hostname, url.port, args.name,
-                                    samples(), window=window, hop=args.hop,
+                                    samples, window=window, hop=args.hop,
                                     version=args.version)
         for event in events:
             if event.get("kind") == "error":
@@ -735,24 +720,15 @@ def _cmd_adapt(args) -> int:
     from .serving import ModelRegistry, PredictionService, ServingError
     from .streaming import DriftMonitor, StreamScorer
 
-    try:
-        source, default_window = _stream_source(args)
-    except (KeyError, OSError, json.JSONDecodeError, ValueError) as error:
-        message = error.args[0] if isinstance(error, KeyError) else error
-        print(f"error: {message}", file=sys.stderr)
+    replay = _replay(args)
+    if replay is None:
         return 2
-    window = args.window or default_window
+    samples, window = replay
     journal = AuditJournal(args.audit_journal) if args.audit_journal else None
     service = PredictionService(ModelRegistry(args.registry), max_queue=1024)
 
     def emit(payload: dict) -> None:
         print(json.dumps(payload), flush=True)
-
-    def samples():
-        for sample in source:
-            if args.limit is not None and sample.t >= args.limit:
-                return
-            yield sample
 
     version = args.version
     windows = shifts = 0
@@ -805,7 +781,7 @@ def _cmd_adapt(args) -> int:
                 emit({"kind": "swap", "version": record.version,
                       "window": scorer.windows})
 
-            for sample in samples():
+            for sample in samples:
                 label = None if args.no_labels else sample.label
                 promoted = None
                 for result in scorer.feed(sample.values, label):
@@ -917,11 +893,17 @@ def _cmd_serve(args) -> int:
     import threading
 
     policy = None
-    if args.infer_dtype is not None or args.backend is not None:
+    if args.infer_dtype is not None:
         from .backend import ComputePolicy
 
-        policy = ComputePolicy(dtype=args.infer_dtype or "float32",
-                               engine=args.backend or "numpy")
+        policy = ComputePolicy(dtype=args.infer_dtype)
+    knobs = dict(host=args.host, port=args.port, max_batch=args.max_batch,
+                 max_latency=args.max_latency_ms / 1000.0,
+                 batch_workers=args.batch_workers, quiet=not args.verbose,
+                 max_queue=args.max_queue,
+                 max_loaded_models=args.max_loaded_models,
+                 max_body_bytes=args.max_body_bytes,
+                 access_log=args.access_log, compute_policy=policy)
 
     if args.workers > 1:
         # Pre-fork pool: the supervisor (this process) owns the port and
@@ -931,17 +913,10 @@ def _cmd_serve(args) -> int:
         from .serving import ServingPool
 
         pool = ServingPool(
-            args.registry, workers=args.workers, host=args.host,
-            port=args.port, max_batch=args.max_batch,
-            max_latency=args.max_latency_ms / 1000.0,
-            batch_workers=args.batch_workers, quiet=not args.verbose,
-            max_queue=args.max_queue,
-            max_loaded_models=args.max_loaded_models,
-            max_body_bytes=args.max_body_bytes, access_log=args.access_log,
-            compute_policy=policy, drain_timeout=args.drain_timeout,
-            trace=args.trace, trace_capacity=args.trace_capacity,
-            trace_export=args.trace_export,
-        )
+            args.registry, workers=args.workers,
+            drain_timeout=args.drain_timeout, trace=args.trace,
+            trace_capacity=args.trace_capacity,
+            trace_export=args.trace_export, **knobs)
         pool.start()
 
         def _pool_stop(signum, frame):
@@ -969,14 +944,7 @@ def _cmd_serve(args) -> int:
 
         configure_tracing(enabled=True, capacity=args.trace_capacity,
                           export_path=args.trace_export)
-    server = create_server(
-        args.registry, host=args.host, port=args.port,
-        max_batch=args.max_batch, max_latency=args.max_latency_ms / 1000.0,
-        batch_workers=args.batch_workers, quiet=not args.verbose,
-        max_queue=args.max_queue, max_loaded_models=args.max_loaded_models,
-        max_body_bytes=args.max_body_bytes, access_log=args.access_log,
-        compute_policy=policy,
-    )
+    server = create_server(args.registry, **knobs)
 
     # Graceful stop on SIGTERM as well as Ctrl-C: shutdown() must run off
     # the serving thread (calling it from the handler would deadlock —

@@ -14,12 +14,18 @@ formatting helpers that render them in the Prometheus exposition format
 Histograms are cumulative (a sample with ``le="0.05"`` counts every
 observation ``<= 0.05``) exactly as Prometheus expects, so latency
 quantiles can be derived server-side with ``histogram_quantile``.
+
+Every exposition in the package is drawn here: a component declares its
+families as a table of :class:`FamilySpec` rows (name, kind, help, label
+source, value getter) and :func:`render_families` renders the table, so
+adding a family is adding a row.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass
 
 __all__ = [
@@ -28,6 +34,7 @@ __all__ = [
     "LATENCY_BUCKETS",
     "STAGE_LATENCY_BUCKETS",
     "Counter",
+    "FamilySpec",
     "Gauge",
     "Histogram",
     "HistogramSnapshot",
@@ -36,6 +43,7 @@ __all__ = [
     "format_sample",
     "merge_expositions",
     "parse_exposition",
+    "render_families",
     "render_histogram",
 ]
 
@@ -235,6 +243,52 @@ def render_histogram(name: str, labels: dict[str, str] | None,
     return lines
 
 
+@dataclass(frozen=True)
+class FamilySpec:
+    """One row of a family table: how to name, describe and sample it.
+
+    *source* names a label source — a sequence of ``(labels, entry)``
+    pairs the owner gathers at render time — and *value* maps one entry
+    to its sample: a number, a :class:`HistogramSnapshot` for
+    histograms, or ``None`` to leave that entry out.
+    """
+
+    name: str
+    kind: str  # counter | gauge | histogram
+    help: str
+    source: str
+    value: Callable[[object], object]
+
+
+def _family_lines(name: str, kind: str, help_text: str,
+                  samples: list[str]) -> list[str]:
+    """The ``# HELP``/``# TYPE`` header plus *samples*.  A family with no
+    samples is left out, except a gauge, which always renders its
+    header."""
+    if not samples and kind != "gauge":
+        return []
+    header = [f"# HELP {name} {help_text}"] if help_text else []
+    return header + [f"# TYPE {name} {kind}"] + samples
+
+
+def render_families(table, sources: dict[str, list]) -> str:
+    """Render a :class:`FamilySpec` *table* over the label *sources* it
+    names, in table order, as one exposition."""
+    lines: list[str] = []
+    for spec in table:
+        samples: list[str] = []
+        for labels, entry in sources[spec.source]:
+            value = spec.value(entry)
+            if value is None:
+                continue
+            if spec.kind == "histogram":
+                samples += render_histogram(spec.name, labels, value)
+            else:
+                samples.append(format_sample(spec.name, labels, value))
+        lines += _family_lines(spec.name, spec.kind, spec.help, samples)
+    return "\n".join(lines) + "\n"
+
+
 # --------------------------------------------------------------------------- #
 # exposition-format parsing and cross-worker merging
 # --------------------------------------------------------------------------- #
@@ -258,28 +312,28 @@ class MetricFamily:
 
 def _parse_labels(text: str) -> dict[str, str]:
     """Parse the ``key="value",...`` interior of a label set, undoing the
-    exposition escapes (``\\\\``, ``\\"``, ``\\n``)."""
+    exposition escapes (``\\\\``, ``\\"``, ``\\n``).  An unquoted or
+    unterminated value raises ``ValueError``."""
     labels: dict[str, str] = {}
     index = 0
     while index < len(text):
         equals = text.index("=", index)
         key = text[index:equals].strip().lstrip(",").strip()
-        assert text[equals + 1] == '"', f"unquoted label value in {text!r}"
+        if text[equals + 1:equals + 2] != '"':
+            raise ValueError(f"unquoted label value in {text!r}")
         value_chars = []
         index = equals + 2
-        while True:
-            char = text[index]
-            if char == "\\":
-                escape = text[index + 1]
-                value_chars.append({"n": "\n"}.get(escape, escape))
-                index += 2
-                continue
-            if char == '"':
+        try:
+            while (char := text[index]) != '"':
+                if char == "\\":
+                    index += 1
+                    char = {"n": "\n"}.get(text[index], text[index])
+                value_chars.append(char)
                 index += 1
-                break
-            value_chars.append(char)
-            index += 1
+        except IndexError:
+            raise ValueError(f"unterminated label value in {text!r}") from None
         labels[key] = "".join(value_chars)
+        index += 1
     return labels
 
 
@@ -384,11 +438,6 @@ def merge_expositions(texts: dict[str, str], *,
     lines: list[str] = []
     for name in order:
         family = merged[name]
-        if not family.samples and family.kind != "gauge":
-            continue
-        if family.help:
-            lines.append(f"# HELP {name} {family.help}")
-        lines.append(f"# TYPE {name} {family.kind}")
-        for sample_name, labels, value in family.samples:
-            lines.append(format_sample(sample_name, labels, value))
+        lines += _family_lines(name, family.kind, family.help, [
+            format_sample(*sample) for sample in family.samples])
     return "\n".join(lines) + "\n"

@@ -56,12 +56,13 @@ import threading
 import time
 import traceback
 import urllib.parse
+from operator import itemgetter
 
-from .metrics import format_sample, merge_expositions
+from .metrics import FamilySpec, merge_expositions, render_families
 from .registry import ModelRegistry
 from .server import _Handler, PredictionServer, build_service
 
-__all__ = ["ServingPool"]
+__all__ = ["POOL_FAMILIES", "ServingPool"]
 
 
 #: a worker that dies this soon after spawning is "crash looping" for
@@ -71,6 +72,22 @@ _FAST_FAIL_WINDOW = 5.0
 #: side-channel request/response deadline — scrapes are small and local,
 #: so anything slower than this means the peer is wedged, not busy
 _SIDE_CHANNEL_TIMEOUT = 2.0
+
+#: the pool's own families, rendered after the merged worker expositions:
+#: ``pool`` carries one unlabelled entry, ``slot`` one per worker slot
+POOL_FAMILIES = tuple(FamilySpec(*row) for row in (
+    ("repro_pool_workers", "gauge",
+     "Worker processes the pool is configured to run.", "pool",
+     itemgetter("workers")),
+    ("repro_pool_workers_alive", "gauge",
+     "Workers currently alive per the supervisor.", "pool",
+     itemgetter("alive")),
+    ("repro_pool_worker_up", "gauge",
+     "Whether each worker slot answered the metrics scrape.", "slot", int),
+    ("repro_pool_respawns_total", "counter",
+     "Worker processes respawned after dying.", "pool",
+     itemgetter("respawns")),
+))
 
 
 def _atomic_write_json(path: str, payload: dict) -> None:
@@ -212,7 +229,11 @@ def _build_pool_session_store(pool_dir: str, slot: int, workers: int):
     the rendezvous peer first (then the rest), adopting and removing the
     blob from whoever answers, so exactly one worker serves the resumed
     stream.  Both directions are best-effort: a dead peer fails the
-    scrape, and the client's retry loop covers the respawn window.
+    scrape, and the client's retry loop covers the respawn window.  A
+    replication the peer does not acknowledge with ``{"ok": true}`` —
+    peer down, blob past the side channel's read cap, or a stale copy
+    the peer's :meth:`SessionStore.adopt` refused — is counted in
+    ``repro_session_replication_failures_total``.
     """
     from ..streaming.session import SessionStore, rendezvous_slot
 
@@ -229,10 +250,14 @@ def _build_pool_session_store(pool_dir: str, slot: int, workers: int):
                 return
             peer = rendezvous_slot(session.id, peers)
             try:
-                _scrape(self._peer_sock(peer),
-                        {"cmd": "session_put", "blob": session.to_blob()})
+                reply = _scrape(self._peer_sock(peer),
+                                {"cmd": "session_put",
+                                 "blob": session.to_blob()})
+                acked = json.loads(reply.decode() or "null") == {"ok": True}
             except (OSError, ValueError):
-                pass  # peer down or respawning; replication is best-effort
+                acked = False  # peer down or respawning
+            if not acked:
+                self.replication_failures.inc()
 
         def _fetch(self, session_id: str, token: int):
             preferred = rendezvous_slot(session_id, peers)
@@ -315,18 +340,17 @@ class _PoolHandler(_Handler):
         self.send_header("X-Worker", str(self.worker_slot))
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self.server.request_started()
-        try:
-            super().do_GET()
-        finally:
-            self.server.request_finished()
-            if self.server.draining:
-                self.close_connection = True
+        self._in_drain_barrier(super().do_GET)
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
+        self._in_drain_barrier(super().do_POST)
+
+    def _in_drain_barrier(self, handle) -> None:
+        """Run one request counted toward the drain barrier; once the
+        worker is draining, the keep-alive connection closes after it."""
         self.server.request_started()
         try:
-            super().do_POST()
+            handle()
         finally:
             self.server.request_finished()
             if self.server.draining:
@@ -360,44 +384,24 @@ class _PoolHandler(_Handler):
         """The pool-wide exposition: every worker scraped and merged,
         plus ``repro_pool_*`` families describing the pool itself."""
         state = self._pool_state()
-        texts: dict[str, str] = {}
-        up: dict[str, int] = {}
+        texts: dict[str, str] = {}  # slots that answered: the "up" ones
         for slot in sorted(state["slots"]):
             if int(slot) == self.worker_slot:
                 texts[slot] = self.service.metrics_text()
-                up[slot] = 1
                 continue
             sock_path = os.path.join(self.pool_dir, f"worker-{slot}.sock")
             try:
                 texts[slot] = _scrape(sock_path, {"cmd": "metrics"}).decode()
-                up[slot] = 1
             except OSError:
-                up[slot] = 0  # dead or respawning; supervisor will report it
+                pass  # dead or respawning; supervisor will report it
         alive = sum(1 for info in state["slots"].values() if info.get("alive"))
-        lines = [
-            "# HELP repro_pool_workers Worker processes the pool is "
-            "configured to run.",
-            "# TYPE repro_pool_workers gauge",
-            format_sample("repro_pool_workers", {}, state["workers"]),
-            "# HELP repro_pool_workers_alive Workers currently alive per "
-            "the supervisor.",
-            "# TYPE repro_pool_workers_alive gauge",
-            format_sample("repro_pool_workers_alive", {}, alive),
-            "# HELP repro_pool_worker_up Whether each worker slot answered "
-            "the metrics scrape.",
-            "# TYPE repro_pool_worker_up gauge",
-        ]
-        for slot in sorted(up):
-            lines.append(format_sample("repro_pool_worker_up",
-                                       {"worker": slot}, up[slot]))
-        lines += [
-            "# HELP repro_pool_respawns_total Worker processes respawned "
-            "after dying.",
-            "# TYPE repro_pool_respawns_total counter",
-            format_sample("repro_pool_respawns_total", {},
-                          state["respawns"]),
-        ]
-        return merge_expositions(texts) + "\n".join(lines) + "\n"
+        pool = {"workers": state["workers"], "alive": alive,
+                "respawns": state["respawns"]}
+        return merge_expositions(texts) + render_families(POOL_FAMILIES, {
+            "pool": [(None, pool)],
+            "slot": [({"worker": slot}, int(slot in texts))
+                     for slot in sorted(state["slots"])],
+        })
 
     def _pool_healthz(self) -> dict:
         """This worker's liveness plus the supervisor's pool state."""

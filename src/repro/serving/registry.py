@@ -143,25 +143,16 @@ class ModelRegistry:
         *dtype* casts the archive's kernel bank (``"float32"`` halves the
         object size); *compute_policy* is recorded in the metadata and
         honoured by :meth:`load`, so the serving layer runs the model
-        under the policy it was published for.  Recording a policy with a
-        non-default engine (numba) **requires** *parity_panel* — a small
-        representative panel swept through :func:`repro.backend.check_parity`
-        first, so an engine that disagrees with the numpy reference never
-        reaches a manifest.  When a panel is supplied the sweep gates any
-        policy, engine or not.
+        under the policy it was published for.  With a *parity_panel* — a
+        small representative panel — the policy is first swept through
+        :func:`repro.backend.check_parity`, so a policy that disagrees
+        with the float64 reference never reaches a manifest.
         """
         validate_reference(name, tags)  # before the artifact write: no orphans
-        if compute_policy is not None:
-            if compute_policy.engine != "numpy" and parity_panel is None:
-                raise ValueError(
-                    f"publishing with engine {compute_policy.engine!r} "
-                    f"requires a parity_panel: non-default engines are "
-                    f"gated behind a correctness sweep"
-                )
-            if parity_panel is not None:
-                check_parity(model, parity_panel, compute_policy)
         metadata = dict(metadata or {})
         if compute_policy is not None:
+            if parity_panel is not None:
+                check_parity(model, parity_panel, compute_policy)
             metadata["compute_policy"] = compute_policy.as_dict()
         metadata["bank_dtype"] = str(np.dtype(dtype).name) if dtype else "float64"
         self._objects.mkdir(parents=True, exist_ok=True)

@@ -53,9 +53,12 @@ import threading
 import time
 import urllib.parse
 from concurrent.futures import Future, TimeoutError as FutureTimeoutError
+from contextlib import nullcontext
 from functools import partial
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from operator import attrgetter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -68,16 +71,16 @@ from .metrics import (
     CONFIDENCE_BUCKETS,
     STAGE_LATENCY_BUCKETS,
     Counter,
+    FamilySpec,
     Gauge,
     Histogram,
-    format_sample,
-    render_histogram,
+    render_families,
 )
 from .registry import ModelRecord, ModelRegistry
 
 __all__ = ["AdaptationStats", "PredictionService", "PredictionServer",
-           "ServingError", "StreamStats", "build_service", "create_server",
-           "prepare_panel", "PROTOCOL_PREPROCESSING"]
+           "SERVICE_FAMILIES", "ServingError", "StreamStats", "build_service",
+           "create_server", "prepare_panel", "PROTOCOL_PREPROCESSING"]
 
 #: metadata value written by ``repro train`` — the training-protocol
 #: preprocessing (znormalize + impute) the server must mirror
@@ -162,6 +165,114 @@ class AdaptationStats:
         self.shadow_windows.inc()
         if agreed:
             self.shadow_agreements.inc()
+
+
+#: Every family :meth:`PredictionService.metrics_text` renders, in
+#: exposition order: name, kind, help, label source and value getter.
+#: The label sources are gathered per scrape — ``batcher``, ``stream``
+#: and ``queue`` entries are labelled by model version, ``lineage`` by
+#: model name, ``stage`` by version and stage, ``status`` by HTTP status;
+#: ``process`` and ``sessions`` carry one unlabelled entry each.
+SERVICE_FAMILIES = tuple(FamilySpec(*row) for row in (
+    ("repro_serving_requests_total", "counter",
+     "Series admitted to a model's micro-batcher.", "batcher",
+     attrgetter("requests")),
+    ("repro_serving_rejected_total", "counter",
+     "Series refused by the bounded queue (answered 429).", "batcher",
+     attrgetter("rejected")),
+    ("repro_serving_batches_total", "counter", "Coalesced panels predicted.",
+     "batcher", attrgetter("batches")),
+    ("repro_serving_queue_depth", "gauge",
+     "Requests waiting in each loaded model's queue.", "queue", int),
+    ("repro_serving_loaded_models", "gauge",
+     "Models currently resident in memory.", "process",
+     attrgetter("loaded_models")),
+    ("repro_serving_streams_total", "counter",
+     "NDJSON streams opened against each model.", "stream",
+     attrgetter("opened.value")),
+    ("repro_serving_active_streams", "gauge",
+     "NDJSON streams currently open per model.", "stream",
+     attrgetter("active.value")),
+    ("repro_serving_stream_windows_total", "counter",
+     "Windows scored through the streaming scorer.", "stream",
+     attrgetter("windows.value")),
+    ("repro_serving_stream_shifts_total", "counter",
+     "Windows the drift monitor flagged as shifted.", "stream",
+     attrgetter("shifts.value")),
+    ("repro_serving_adaptation_retrainings_total", "counter",
+     "Canary retrainings triggered by confirmed drift flags.", "lineage",
+     attrgetter("retrainings.value")),
+    ("repro_serving_adaptation_promotions_total", "counter",
+     "Canaries promoted to the stable tag.", "lineage",
+     attrgetter("promotions.value")),
+    ("repro_serving_adaptation_rollbacks_total", "counter",
+     "Canaries rolled back after shadow scoring.", "lineage",
+     attrgetter("rollbacks.value")),
+    ("repro_serving_shadow_windows_total", "counter",
+     "Live windows shadow-scored against a canary.", "lineage",
+     attrgetter("shadow_windows.value")),
+    ("repro_serving_shadow_agreements_total", "counter",
+     "Shadow windows where canary and stable predicted alike.", "lineage",
+     attrgetter("shadow_agreements.value")),
+    ("repro_serving_canary_version", "gauge",
+     "Version currently under canary evaluation (0 = none).", "lineage",
+     attrgetter("canary_version.value")),
+    ("repro_serving_canary_age_windows", "gauge",
+     "Live windows scored since the current canary was published.", "lineage",
+     attrgetter("canary_age.value")),
+    ("repro_serving_stream_confidence", "histogram",
+     "Top-1 probability per scored window (proba-serving models).", "stream",
+     lambda stream: stream.confidence.snapshot()
+     if stream.confidence.count else None),
+    ("repro_serving_batch_size", "histogram", "Coalesced panel sizes.",
+     "batcher", lambda stat: stat.batch_sizes.snapshot()),
+    ("repro_serving_request_latency_seconds", "histogram",
+     "Submit-to-completion seconds per series.", "batcher",
+     lambda stat: stat.latency.snapshot()),
+    ("repro_serving_stage_latency_seconds", "histogram",
+     "Per-stage request latency: queue_wait, assemble, predict, serialize.",
+     "stage", Histogram.snapshot),
+    ("repro_serving_client_disconnects_total", "counter",
+     "Responses abandoned because the client hung up first.", "process",
+     attrgetter("client_disconnects")),
+    ("repro_session_opened_total", "counter",
+     "Durable stream sessions opened.", "sessions",
+     attrgetter("opened.value")),
+    ("repro_session_resumed_total", "counter",
+     "Session re-attachments after a disconnect.", "sessions",
+     attrgetter("resumed.value")),
+    ("repro_session_active", "gauge",
+     "Sessions currently attached to a live stream.", "sessions",
+     attrgetter("active.value")),
+    ("repro_session_snapshots_total", "counter",
+     "Per-window session snapshots saved.", "sessions",
+     attrgetter("snapshots.value")),
+    ("repro_session_replayed_windows_total", "counter",
+     "Cached window lines replayed to resuming clients.", "sessions",
+     attrgetter("replayed.value")),
+    ("repro_session_handoffs_total", "counter",
+     "Sessions adopted from a peer worker on resume.", "sessions",
+     attrgetter("handoffs.value")),
+    ("repro_session_takeovers_total", "counter",
+     "Resumes that fenced out a still-attached handler (half-open or "
+     "zombie connections).", "sessions", attrgetter("takeovers.value")),
+    ("repro_session_expired_total", "counter",
+     "Suspended sessions dropped by TTL or eviction.", "sessions",
+     attrgetter("expired.value")),
+    ("repro_session_swaps_total", "counter",
+     "In-place model version swaps on session streams.", "sessions",
+     attrgetter("swaps.value")),
+    ("repro_session_replication_failures_total", "counter",
+     "Session blobs a peer worker did not acknowledge adopting "
+     "(includes stale copies it refused).", "sessions",
+     attrgetter("replication_failures.value")),
+    ("repro_serving_http_responses_total", "counter",
+     "HTTP responses by status code.", "status", int),
+))
+
+
+def _version_labels(key: tuple[str, int]) -> dict[str, str]:
+    return {"model": key[0], "version": str(key[1])}
 
 
 class PredictionService:
@@ -522,183 +633,30 @@ class PredictionService:
         return out
 
     def metrics_text(self) -> str:
-        """The Prometheus exposition-format dump for ``/metrics``."""
+        """The Prometheus exposition-format dump for ``/metrics``: the
+        :data:`SERVICE_FAMILIES` table over this scrape's label sources."""
         with self._lock:
-            stats = list(self._stats.items())
-            streams = sorted(self._streams.items())
-            adaptation = sorted(self._adaptation.items())
-            depths = {key: batcher.queue_depth
-                      for key, (_, batcher) in self._loaded.items()}
-            responses = sorted(self._http_responses.items())
-            n_loaded = len(self._loaded)
-            stage_stats = [(key, dict(stages))
-                           for key, stages in sorted(self._stage.items())]
-            disconnects = self._client_disconnects
-        lines: list[str] = []
-
-        def family(name: str, kind: str, help_text: str, samples) -> None:
-            block = list(samples)
-            if not block and kind != "gauge":
-                return
-            lines.append(f"# HELP {name} {help_text}")
-            lines.append(f"# TYPE {name} {kind}")
-            lines.extend(block)
-
-        def labels(key):
-            return {"model": key[0], "version": str(key[1])}
-
-        family("repro_serving_requests_total", "counter",
-               "Series admitted to a model's micro-batcher.",
-               (format_sample("repro_serving_requests_total", labels(key),
-                              stat.requests) for key, stat in stats))
-        family("repro_serving_rejected_total", "counter",
-               "Series refused by the bounded queue (answered 429).",
-               (format_sample("repro_serving_rejected_total", labels(key),
-                              stat.rejected) for key, stat in stats))
-        family("repro_serving_batches_total", "counter",
-               "Coalesced panels predicted.",
-               (format_sample("repro_serving_batches_total", labels(key),
-                              stat.batches) for key, stat in stats))
-        family("repro_serving_queue_depth", "gauge",
-               "Requests waiting in each loaded model's queue.",
-               (format_sample("repro_serving_queue_depth", labels(key), depth)
-                for key, depth in sorted(depths.items())))
-        family("repro_serving_loaded_models", "gauge",
-               "Models currently resident in memory.",
-               [format_sample("repro_serving_loaded_models", None, n_loaded)])
-        family("repro_serving_streams_total", "counter",
-               "NDJSON streams opened against each model.",
-               (format_sample("repro_serving_streams_total", labels(key),
-                              stream.opened.value) for key, stream in streams))
-        family("repro_serving_active_streams", "gauge",
-               "NDJSON streams currently open per model.",
-               (format_sample("repro_serving_active_streams", labels(key),
-                              stream.active.value) for key, stream in streams))
-        family("repro_serving_stream_windows_total", "counter",
-               "Windows scored through the streaming scorer.",
-               (format_sample("repro_serving_stream_windows_total", labels(key),
-                              stream.windows.value) for key, stream in streams))
-        family("repro_serving_stream_shifts_total", "counter",
-               "Windows the drift monitor flagged as shifted.",
-               (format_sample("repro_serving_stream_shifts_total", labels(key),
-                              stream.shifts.value) for key, stream in streams))
-        def name_labels(name):
-            return {"model": name}
-
-        family("repro_serving_adaptation_retrainings_total", "counter",
-               "Canary retrainings triggered by confirmed drift flags.",
-               (format_sample("repro_serving_adaptation_retrainings_total",
-                              name_labels(name), stat.retrainings.value)
-                for name, stat in adaptation))
-        family("repro_serving_adaptation_promotions_total", "counter",
-               "Canaries promoted to the stable tag.",
-               (format_sample("repro_serving_adaptation_promotions_total",
-                              name_labels(name), stat.promotions.value)
-                for name, stat in adaptation))
-        family("repro_serving_adaptation_rollbacks_total", "counter",
-               "Canaries rolled back after shadow scoring.",
-               (format_sample("repro_serving_adaptation_rollbacks_total",
-                              name_labels(name), stat.rollbacks.value)
-                for name, stat in adaptation))
-        family("repro_serving_shadow_windows_total", "counter",
-               "Live windows shadow-scored against a canary.",
-               (format_sample("repro_serving_shadow_windows_total",
-                              name_labels(name), stat.shadow_windows.value)
-                for name, stat in adaptation))
-        family("repro_serving_shadow_agreements_total", "counter",
-               "Shadow windows where canary and stable predicted alike.",
-               (format_sample("repro_serving_shadow_agreements_total",
-                              name_labels(name), stat.shadow_agreements.value)
-                for name, stat in adaptation))
-        family("repro_serving_canary_version", "gauge",
-               "Version currently under canary evaluation (0 = none).",
-               (format_sample("repro_serving_canary_version",
-                              name_labels(name), stat.canary_version.value)
-                for name, stat in adaptation))
-        family("repro_serving_canary_age_windows", "gauge",
-               "Live windows scored since the current canary was published.",
-               (format_sample("repro_serving_canary_age_windows",
-                              name_labels(name), stat.canary_age.value)
-                for name, stat in adaptation))
-        confidence_lines: list[str] = []
-        for key, stream in streams:
-            if stream.confidence.count:
-                confidence_lines.extend(render_histogram(
-                    "repro_serving_stream_confidence", labels(key),
-                    stream.confidence.snapshot()))
-        family("repro_serving_stream_confidence", "histogram",
-               "Top-1 probability per scored window (proba-serving models).",
-               confidence_lines)
-        batch_lines: list[str] = []
-        latency_lines: list[str] = []
-        for key, stat in stats:
-            batch_lines.extend(render_histogram(
-                "repro_serving_batch_size", labels(key),
-                stat.batch_sizes.snapshot()))
-            latency_lines.extend(render_histogram(
-                "repro_serving_request_latency_seconds", labels(key),
-                stat.latency.snapshot()))
-        family("repro_serving_batch_size", "histogram",
-               "Coalesced panel sizes.", batch_lines)
-        family("repro_serving_request_latency_seconds", "histogram",
-               "Submit-to-completion seconds per series.", latency_lines)
-        stage_lines: list[str] = []
-        for key, stages in stage_stats:
-            for stage_name, hist in sorted(stages.items()):
-                stage_lines.extend(render_histogram(
-                    "repro_serving_stage_latency_seconds",
-                    {**labels(key), "stage": stage_name}, hist.snapshot()))
-        family("repro_serving_stage_latency_seconds", "histogram",
-               "Per-stage request latency: queue_wait, assemble, predict, "
-               "serialize.", stage_lines)
-        family("repro_serving_client_disconnects_total", "counter",
-               "Responses abandoned because the client hung up first.",
-               [format_sample("repro_serving_client_disconnects_total",
-                              None, disconnects)])
-        sessions = self.sessions
-        family("repro_session_opened_total", "counter",
-               "Durable stream sessions opened.",
-               [format_sample("repro_session_opened_total", None,
-                              sessions.opened.value)])
-        family("repro_session_resumed_total", "counter",
-               "Session re-attachments after a disconnect.",
-               [format_sample("repro_session_resumed_total", None,
-                              sessions.resumed.value)])
-        family("repro_session_active", "gauge",
-               "Sessions currently attached to a live stream.",
-               [format_sample("repro_session_active", None,
-                              sessions.active.value)])
-        family("repro_session_snapshots_total", "counter",
-               "Per-window session snapshots saved.",
-               [format_sample("repro_session_snapshots_total", None,
-                              sessions.snapshots.value)])
-        family("repro_session_replayed_windows_total", "counter",
-               "Cached window lines replayed to resuming clients.",
-               [format_sample("repro_session_replayed_windows_total", None,
-                              sessions.replayed.value)])
-        family("repro_session_handoffs_total", "counter",
-               "Sessions adopted from a peer worker on resume.",
-               [format_sample("repro_session_handoffs_total", None,
-                              sessions.handoffs.value)])
-        family("repro_session_takeovers_total", "counter",
-               "Resumes that fenced out a still-attached handler "
-               "(half-open or zombie connections).",
-               [format_sample("repro_session_takeovers_total", None,
-                              sessions.takeovers.value)])
-        family("repro_session_expired_total", "counter",
-               "Suspended sessions dropped by TTL or eviction.",
-               [format_sample("repro_session_expired_total", None,
-                              sessions.expired.value)])
-        family("repro_session_swaps_total", "counter",
-               "In-place model version swaps on session streams.",
-               [format_sample("repro_session_swaps_total", None,
-                              sessions.swaps.value)])
-        family("repro_serving_http_responses_total", "counter",
-               "HTTP responses by status code.",
-               (format_sample("repro_serving_http_responses_total",
-                              {"status": str(status)}, count)
-                for status, count in responses))
-        return "\n".join(lines) + "\n"
+            batchers = [(_version_labels(key), stat)
+                        for key, stat in self._stats.items()]
+            streams = [(_version_labels(key), stream)
+                       for key, stream in sorted(self._streams.items())]
+            queues = [(_version_labels(key), batcher.queue_depth)
+                      for key, (_, batcher) in sorted(self._loaded.items())]
+            lineages = [({"model": name}, stat)
+                        for name, stat in sorted(self._adaptation.items())]
+            stages = [({**_version_labels(key), "stage": stage}, hist)
+                      for key, hists in sorted(self._stage.items())
+                      for stage, hist in sorted(hists.items())]
+            statuses = [({"status": str(status)}, count) for status, count
+                        in sorted(self._http_responses.items())]
+            process = SimpleNamespace(
+                loaded_models=len(self._loaded),
+                client_disconnects=self._client_disconnects)
+        return render_families(SERVICE_FAMILIES, {
+            "batcher": batchers, "stream": streams, "queue": queues,
+            "lineage": lineages, "stage": stages, "status": statuses,
+            "process": [(None, process)], "sessions": [(None, self.sessions)],
+        })
 
     # ------------------------------------------------------------------ #
 
@@ -813,11 +771,18 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------ #
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
+        self._traced(self._handle_get)
+
+    def do_POST(self) -> None:  # noqa: N802 - http.server API
+        self._traced(self._handle_post)
+
+    def _traced(self, handle) -> None:
+        """Run one request inside its ``http.request`` root span."""
         self._started = time.monotonic()
         self._span = span = self.service.tracer.span(
-            "http.request", method="GET", path=self.path)
+            "http.request", method=self.command, path=self.path)
         with span:
-            self._handle_get()
+            handle()
 
     def _handle_get(self) -> None:
         """Route one GET request (inside the request's root span)."""
@@ -832,7 +797,11 @@ class _Handler(BaseHTTPRequestHandler):
                 self._reply(200, {"models": self.service.models()})
             elif url.path == "/v1/debug/traces":
                 query = urllib.parse.parse_qs(url.query)
-                limit = int(query.get("limit", ["20"])[0])
+                try:
+                    limit = int(query.get("limit", ["20"])[0])
+                except ValueError as error:
+                    self._reply(400, {"error": f"bad limit: {error}"})
+                    return
                 slowest = query.get("slowest", ["0"])[0].lower() \
                     not in ("", "0", "false")
                 self._reply(200, self.service.debug_traces(
@@ -841,13 +810,6 @@ class _Handler(BaseHTTPRequestHandler):
                 self._reply(404, {"error": f"no route for GET {self.path}"})
         except Exception as error:  # noqa: BLE001 - must answer the client
             self._reply(500, {"error": f"{type(error).__name__}: {error}"})
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        self._started = time.monotonic()
-        self._span = span = self.service.tracer.span(
-            "http.request", method="POST", path=self.path)
-        with span:
-            self._handle_post()
 
     def _handle_post(self) -> None:
         """Route one POST request (inside the request's root span)."""
@@ -941,7 +903,6 @@ class _Handler(BaseHTTPRequestHandler):
         from ..streaming.session import SessionError
 
         store = self.service.sessions
-        scorer = None
         session = None
         epoch = 0
         resume = None
@@ -951,9 +912,10 @@ class _Handler(BaseHTTPRequestHandler):
             version = query.get("version", [None])[0]
             with_proba = query.get("proba", ["0"])[0].lower() \
                 not in ("", "0", "false")
-            follow = query.get("follow", ["1"])[0].lower() \
-                not in ("", "0", "false")
             session_id = query.get("session", [None])[0]
+            # Only session streams follow promotions in place.
+            follow = session_id is not None and query.get(
+                "follow", ["1"])[0].lower() not in ("", "0", "false")
             resume_arg = query.get("resume", [None])[0]
             resume = None if resume_arg is None else int(resume_arg)
             replay: list[dict] = []
@@ -972,22 +934,16 @@ class _Handler(BaseHTTPRequestHandler):
             body_lines = self._open_body_lines()
             scorer = StreamScorer(self.service, name, window=window, hop=hop,
                                   version=version, session=session)
-        except SessionError as error:
+        except (SessionError, ServingError, ValueError) as error:
+            # Nothing is committed yet (the scorer is the try's last
+            # step), so the session settles and the refusal gets a
+            # proper status line.
             self._settle_session(session, epoch,
                                  resumable=resume is not None)
-            self._reply(error.status, {"error": str(error)})
-            return
-        except ServingError as error:
-            if scorer is not None:
-                scorer.close()
-            self._settle_session(session, epoch,
-                                 resumable=resume is not None)
-            self._reply(error.status, {"error": str(error)})
-            return
-        except ValueError as error:
-            self._settle_session(session, epoch,
-                                 resumable=resume is not None)
-            self._reply(400, {"error": f"bad stream parameters: {error}"})
+            if isinstance(error, ValueError):
+                self._reply(400, {"error": f"bad stream parameters: {error}"})
+            else:
+                self._reply(error.status, {"error": str(error)})
             return
 
         # From here on the stream is committed: errors go in-band.
@@ -999,6 +955,12 @@ class _Handler(BaseHTTPRequestHandler):
         sent = 0
         self._body_truncated = False
         resumable = True  # how to settle the session if the wire dies
+        # One owner batch per session-stream step: scorer advance, line
+        # caching and the store save land atomically with respect to a
+        # resume takeover — the socket writes stay outside so a zombie
+        # connection can never stall a takeover.
+        owner_batch = nullcontext if session is None \
+            else partial(session.guard, epoch)
         try:
             try:
                 if session is not None:
@@ -1022,30 +984,18 @@ class _Handler(BaseHTTPRequestHandler):
                             'optional "label"'
                         )
                     swap_line = None
-                    if session is None:
+                    with owner_batch():
                         results = scorer.feed(sample["values"],
                                               sample.get("label"))
                         payloads = self._prepare_windows(
                             results, session, store, with_proba)
-                    else:
-                        # One owner batch: scorer advance, line caching
-                        # and the store save land atomically with
-                        # respect to a resume takeover — the socket
-                        # writes stay outside so a zombie connection
-                        # can never stall a takeover.
-                        with session.guard(epoch):
-                            results = scorer.feed(sample["values"],
-                                                  sample.get("label"))
-                            payloads = self._prepare_windows(
-                                results, session, store, with_proba)
-                            if follow and results:
-                                swapped = scorer.follow()
-                                if swapped is not None:
-                                    store.swaps.inc()
-                                    swap_line = {
-                                        "kind": "swap",
-                                        "version": swapped.version,
-                                        "window": scorer.windows}
+                        if follow and results:
+                            swapped = scorer.follow()
+                            if swapped is not None:
+                                store.swaps.inc()
+                                swap_line = {"kind": "swap",
+                                             "version": swapped.version,
+                                             "window": scorer.windows}
                     for payload in payloads:
                         sent += self._write_stream_line(payload)
                     if swap_line is not None:
@@ -1058,13 +1008,9 @@ class _Handler(BaseHTTPRequestHandler):
                         detach = True
                         break
                 truncated = session is not None and self._body_truncated
-                if session is None:
+                with owner_batch():
                     payloads = self._prepare_windows(
                         scorer.finish(), session, store, with_proba)
-                else:
-                    with session.guard(epoch):
-                        payloads = self._prepare_windows(
-                            scorer.finish(), session, store, with_proba)
                 for payload in payloads:
                     sent += self._write_stream_line(payload)
                 if detach:
@@ -1167,20 +1113,9 @@ class _Handler(BaseHTTPRequestHandler):
         encoding = (self.headers.get("Transfer-Encoding") or "").lower()
         if "chunked" in encoding:
             return self._iter_lines(self._iter_chunked_body())
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            raise ServingError(
-                400, "a stream body needs chunked transfer encoding or a "
-                     "Content-Length"
-            )
-        if self.max_body_bytes and length > self.max_body_bytes:
-            # Same admission control as predict; see _read_json.
-            self.close_connection = True
-            self._discard_body(length)
-            raise ServingError(
-                413, f"request body of {length} bytes exceeds the "
-                     f"{self.max_body_bytes}-byte limit"
-            )
+        length = self._admitted_length(
+            "a stream body needs chunked transfer encoding or a "
+            "Content-Length")
         return self._iter_lines(self._iter_sized_body(length))
 
     def _iter_chunked_body(self):
@@ -1230,24 +1165,33 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------ #
 
     def _read_json(self):
+        length = self._admitted_length("empty request body")
+        try:
+            return json.loads(self.rfile.read(length))
+        except json.JSONDecodeError as error:
+            raise ServingError(400, f"invalid JSON body: {error}") from error
+
+    def _admitted_length(self, empty_message: str) -> int:
+        """The declared ``Content-Length``, refused when absent (400,
+        *empty_message*) or above ``max_body_bytes`` (413).
+
+        An oversized body is refused without buffering, but the wire is
+        *drained* (bounded): closing a socket with unread data makes the
+        kernel send RST, which can destroy the 413 response before the
+        client reads it.  The bytes are discarded chunk by chunk, never
+        held.
+        """
         length = int(self.headers.get("Content-Length") or 0)
         if length <= 0:
-            raise ServingError(400, "empty request body")
+            raise ServingError(400, empty_message)
         if self.max_body_bytes and length > self.max_body_bytes:
-            # Refuse without buffering, but *drain* the wire (bounded):
-            # closing a socket with unread data makes the kernel send RST,
-            # which can destroy the 413 response before the client reads
-            # it.  The bytes are discarded chunk by chunk, never held.
             self.close_connection = True
             self._discard_body(length)
             raise ServingError(
                 413, f"request body of {length} bytes exceeds the "
                      f"{self.max_body_bytes}-byte limit"
             )
-        try:
-            return json.loads(self.rfile.read(length))
-        except json.JSONDecodeError as error:
-            raise ServingError(400, f"invalid JSON body: {error}") from error
+        return length
 
     #: stop draining a refused body past this; a sender lying about a
     #: colossal Content-Length gets the RST instead of our time

@@ -237,7 +237,8 @@ class StreamScorer:
         self.session = session
         self._use_proba_arg = use_proba  # explicit caller choice, if any
         self.tracer = getattr(service, "tracer", None) or get_tracer()
-        self.record, self._stats = service.open_stream(name, version)
+        self.record, self._stats, self.use_proba = self._open(
+            name, version, fallback=False)
         #: the stream's root span: opened here, ended by close().  When
         #: tracing is off this is the shared no-op span and the context
         #: stays None, which turns every per-window trace guard off.
@@ -255,17 +256,31 @@ class StreamScorer:
         self._samples = 0
         self._shifts = 0
         self._closed = False
-        try:
-            if use_proba is None:
-                probe = getattr(service, "serves_proba", None)
-                use_proba = bool(probe(name, version)) if probe else False
-            self.use_proba = bool(use_proba)
-            if session is not None and session.state is not None:
+        if session is not None and session.state is not None:
+            try:
                 self._restore(session.state)
+            except BaseException:
+                # The stream was counted as open above; don't leak the gauge.
+                service.close_stream(self.record)
+                raise
+
+    def _open(self, name: str, version, *, fallback: bool):
+        """Open the stream on *version*: ``(record, stats, use_proba)``.
+
+        The constructor's explicit *use_proba* wins over asking the
+        service (*fallback* when it cannot say); a failure closes the
+        stream again, so the active-streams gauge never leaks.
+        """
+        record, stats = self.service.open_stream(name, version)
+        try:
+            use_proba = self._use_proba_arg
+            if use_proba is None:
+                probe = getattr(self.service, "serves_proba", None)
+                use_proba = probe(name, version) if probe else fallback
         except BaseException:
-            # The stream was counted as open above; don't leak the gauge.
-            service.close_stream(self.record)
+            self.service.close_stream(record)
             raise
+        return record, stats, bool(use_proba)
 
     # ------------------------------------------------------------------ #
 
@@ -361,23 +376,12 @@ class StreamScorer:
         while self._pending:
             self._ready.append(self._resolve_head())
         old = self.record
-        record, stats = self.service.open_stream(old.name, version)
-        try:
-            if self._use_proba_arg is None:
-                probe = getattr(self.service, "serves_proba", None)
-                use_proba = bool(probe(old.name, version)) if probe \
-                    else self.use_proba
-            else:
-                use_proba = bool(self._use_proba_arg)
-        except BaseException:
-            self.service.close_stream(record)
-            raise
+        opened = self._open(old.name, version, fallback=self.use_proba)
         self.service.close_stream(old)
-        self.record, self._stats = record, stats
-        self.use_proba = use_proba
+        self.record, self._stats, self.use_proba = opened
         self.version = version
-        self._span.set("swapped_to", record.version)
-        return record
+        self._span.set("swapped_to", self.record.version)
+        return self.record
 
     def follow(self):
         """Swap when this stream's version *reference* points elsewhere.

@@ -298,6 +298,9 @@ class SessionStore:
         self.takeovers = Counter()
         self.expired = Counter()
         self.swaps = Counter()
+        #: replications a peer did not acknowledge (the pool store counts
+        #: them; includes stale copies the peer's adopt() refused)
+        self.replication_failures = Counter()
         self.active = Gauge()
 
     # ------------------------------------------------------------------ #
@@ -404,28 +407,28 @@ class SessionStore:
         stream, so it passes the epoch it attached at and the suspend
         becomes a no-op if the session has moved on.
         """
+        if self._detach(session, epoch):
+            self._replicate(session)
+
+    def finish(self, session: StreamSession,
+               epoch: int | None = None) -> None:
+        """Retire a session after a clean end-of-stream (epoch-fenced)."""
+        if self._detach(session, epoch):
+            with self._lock:
+                self._sessions.pop(session.id, None)
+
+    def _detach(self, session: StreamSession, epoch: int | None) -> bool:
+        """Mark *session* detached unless a takeover fenced *epoch* out;
+        ``False`` means the session has moved on and must be left alone."""
         with session._mutate:
             if epoch is not None and session.epoch != epoch:
-                return
+                return False
             was_active = session.active
             session.active = False
             session.touched = time.time()
         if was_active:
             self.active.dec()
-        self._replicate(session)
-
-    def finish(self, session: StreamSession,
-               epoch: int | None = None) -> None:
-        """Retire a session after a clean end-of-stream (epoch-fenced)."""
-        with session._mutate:
-            if epoch is not None and session.epoch != epoch:
-                return
-            was_active = session.active
-            session.active = False
-        if was_active:
-            self.active.dec()
-        with self._lock:
-            self._sessions.pop(session.id, None)
+        return True
 
     def get(self, session_id: str) -> StreamSession | None:
         """The session under *session_id*, if any (introspection)."""
@@ -505,7 +508,8 @@ class SessionStore:
 
         No-op in-process; the pool subclass sends the blob to a
         rendezvous-hashed peer worker over the unix-socket side
-        channel.
+        channel and counts every copy the peer does not acknowledge in
+        ``replication_failures``.
         """
 
     def _fetch(self, session_id: str, token: int) -> dict | None:

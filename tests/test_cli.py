@@ -388,3 +388,36 @@ def test_unknown_command_rejected():
 def test_figure_validates_number():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["figure", "7"])
+
+
+REPLAY_FLAGS = ("dataset", "input", "synthetic_like", "window", "hop",
+                "version", "scale", "series", "seed", "shift_at", "limit")
+
+
+def test_stream_and_adapt_share_replay_flags():
+    parser = build_parser()
+    stream = parser.parse_args(["stream", "demo", "--dataset", "Epilepsy"])
+    adapt = parser.parse_args(["adapt", "demo", "--registry", "r",
+                               "--dataset", "Epilepsy"])
+    for args in (stream, adapt):
+        assert {flag: getattr(args, flag) for flag in REPLAY_FLAGS} == {
+            "dataset": "Epilepsy", "input": None, "synthetic_like": None,
+            "window": None, "hop": None, "version": None, "scale": "small",
+            "series": 50, "seed": 0, "shift_at": None, "limit": None}
+    given = ["--synthetic-like", "Epilepsy", "--window", "16", "--hop", "4",
+             "--version", "stable", "--scale", "full", "--series", "7",
+             "--seed", "3", "--shift-at", "90", "--limit", "200"]
+    stream = parser.parse_args(["stream", "demo", *given])
+    adapt = parser.parse_args(["adapt", "demo", "--registry", "r", *given])
+    assert {flag: getattr(stream, flag) for flag in REPLAY_FLAGS} \
+        == {flag: getattr(adapt, flag) for flag in REPLAY_FLAGS}
+    for command in (["stream", "demo"], ["adapt", "demo", "--registry", "r"]):
+        with pytest.raises(SystemExit):  # the source group stays exclusive
+            parser.parse_args([*command, "--dataset", "a", "--input", "b"])
+
+
+@pytest.mark.parametrize("command", [["serve", "--registry", "r"],
+                                     ["train", "Epilepsy", "--registry", "r"]])
+def test_backend_flag_is_gone(command):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([*command, "--backend", "numpy"])

@@ -252,16 +252,6 @@ class TestComputePolicySweep:
         assert report.labels_equal, report.summary()
         assert report.max_proba_diff <= PROBA_ATOL, report.summary()
 
-    def test_numba_engine_request_never_changes_labels(self, name):
-        """Without numba installed the engine resolves to numpy; with it,
-        parity still holds.  Either way: same labels."""
-        from repro.backend import ComputePolicy, parity_report
-
-        _, _, X_te, _ = _problem()
-        report = parity_report(_outputs(name)["model"], X_te,
-                               ComputePolicy("float32", "numba"))
-        assert report.labels_equal, report.summary()
-
     def test_policy_application_does_not_mutate_the_model(self, name):
         """parity_report works on a deep copy: the shared cached model
         stays policy-free for every other test in this module."""

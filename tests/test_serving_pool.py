@@ -349,3 +349,50 @@ class TestMergeExpositions:
         assert 'lat_bucket{le="+Inf"} 4' in merged
         assert "lat_sum 3" in merged
         assert "lat_count 4" in merged
+
+    def test_unquoted_or_unterminated_label_values_raise_value_error(self):
+        for bad in ('t_total{model=demo} 3\n', 't_total{model="demo} 3\n'):
+            with pytest.raises(ValueError, match="label value"):
+                parse_exposition(bad)
+
+
+@pytest.fixture(scope="module")
+def wide_registry(tmp_path_factory):
+    """8-channel models at window 1024 — its session blob outgrows the
+    side channel's 64 KiB read cap — and at window 32, well inside it."""
+    registry = ModelRegistry(tmp_path_factory.mktemp("wide"))
+    for window in (32, 1024):
+        X, y = MTSGenerator(n_channels=8, length=window, n_classes=2,
+                            difficulty=0.15, seed=0).sample(
+            np.array([6, 6]), np.random.default_rng(2))
+        model = RocketClassifier(num_kernels=10, seed=0).fit(
+            prepare_panel(X), y)
+        registry.publish(model, f"w{window}", metadata=model_metadata(
+            model, dataset="synthetic", preprocessing="znormalize+impute"))
+    return registry
+
+
+class TestSessionReplicationFailures:
+    @pytest.mark.parametrize("window, lost", [(1024, True), (32, False)])
+    def test_unacknowledged_replication_is_counted(self, wide_registry,
+                                                   window, lost):
+        """A session blob the peer cannot read is a durability loss the
+        pool must count; a blob that lands leaves the counter at zero."""
+        rng = np.random.default_rng(window)
+        samples = [(rng.standard_normal(8), 0) for _ in range(2 * window)]
+        with ServingPool(wide_registry.root, workers=2, port=0,
+                         drain_timeout=2.0) as pool:
+            events = list(stream_windows(
+                "127.0.0.1", pool.port, f"w{window}", iter(samples),
+                window=window, session=f"wide-{window}"))
+            assert [e["kind"] for e in events].count("window") == 2
+            assert events[-1]["kind"] == "summary"
+            _, text, _ = _request(pool.port, "GET", "/metrics")
+        snapshots = _metric_value(text, "repro_session_snapshots_total")
+        failures = _metric_value(
+            text, "repro_session_replication_failures_total")
+        assert snapshots >= 1  # every snapshot replicates to the peer
+        if lost:
+            assert failures >= 1
+        else:
+            assert failures == 0

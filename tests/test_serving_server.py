@@ -117,6 +117,12 @@ class TestRoutes:
         assert _post(server, "/v1/nope", {})[0] == 404
         assert _post(server, "/v1/models/demo/nope", {})[0] == 404
 
+    def test_non_integer_traces_limit_is_400(self, server):
+        status, body = _get(server, "/v1/debug/traces?limit=abc")
+        assert status == 400
+        assert "limit" in body["error"]
+        assert _get(server, "/v1/debug/traces?limit=3")[0] == 200
+
 
 class TestPredict:
     def test_single_series_label_matches_in_process(self, server, registry, problem):
