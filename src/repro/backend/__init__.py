@@ -17,6 +17,7 @@ from .core import (
     ComputePolicy,
     apply_folded_ridge,
     apply_inference_policy,
+    batch_invariant_matmul,
     fold_ridge,
     grouped_conv,
     ridge_margins,
@@ -37,6 +38,7 @@ __all__ = [
     "RocketBank",
     "apply_folded_ridge",
     "apply_inference_policy",
+    "batch_invariant_matmul",
     "check_parity",
     "fold_ridge",
     "grouped_conv",

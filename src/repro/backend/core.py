@@ -5,7 +5,9 @@ per-classifier numpy: a :class:`ComputePolicy` names the dtype a model
 should run under, and the ops here are the only places model math
 happens — batched grouped convolution (:func:`grouped_conv`), the fused
 conv+PPV banks (:mod:`repro.backend.fused`), ridge margin application
-(:func:`ridge_margins`, :func:`fold_ridge`) and :func:`softmax`.
+(:func:`ridge_margins`, :func:`fold_ridge`), :func:`softmax`, and the
+batch-invariant GEMM the float32 serving path runs on
+(:func:`batch_invariant_matmul`).
 
 Two policies matter in practice:
 
@@ -18,7 +20,9 @@ Two policies matter in practice:
   small enough to unroll, and probabilities come out within a documented
   tolerance of the float64 path (labels bit-identical in practice —
   ridge margins are far wider than float32 noise; the parity suite pins
-  this).
+  this).  The float32 GEMMs of the fused banks and the folded ridge
+  head multiply one row at a time, so they give a series the same bits
+  whichever batch it is scored in.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ __all__ = [
     "INFERENCE_POLICY",
     "apply_folded_ridge",
     "apply_inference_policy",
+    "batch_invariant_matmul",
     "fold_ridge",
     "grouped_conv",
     "ridge_margins",
@@ -157,12 +162,26 @@ def fold_ridge(mean: np.ndarray, std: np.ndarray, coef: np.ndarray,
     return scale_coef, intercept
 
 
+def batch_invariant_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a 2-D *a* whose every output row depends only on
+    the same row of *a*, never on how many rows ride along.
+
+    BLAS picks its kernel and accumulation order by the GEMM's shape, so
+    one row multiplied alone and inside a 12-row panel can differ in the
+    last bits.  Here every row is its own ``(1, k) @ (k, m)`` product —
+    one GEMV of the same shape whatever the panel — so a request's answer
+    is the same whichever micro-batch it lands in.
+    """
+    return np.matmul(a[:, None, :], b)[:, 0]
+
+
 def apply_folded_ridge(features: np.ndarray, scale_coef: np.ndarray,
                        intercept: np.ndarray) -> np.ndarray:
     """Margins from a :func:`fold_ridge` head: ``features @ scale_coef +
-    intercept`` in the head's dtype (one GEMM, one add)."""
+    intercept`` in the head's dtype (one batch-invariant matmul, one
+    add)."""
     features = np.asarray(features, dtype=scale_coef.dtype)
-    return features @ scale_coef + intercept
+    return batch_invariant_matmul(features, scale_coef) + intercept
 
 
 def grouped_conv(X: np.ndarray, weights: np.ndarray, biases: np.ndarray,

@@ -8,8 +8,12 @@ tap of every group at every output position becomes one row of a single
 dense matrix ``A``, built once per (model, policy), so the whole
 transform collapses to
 
-    responses = X_padded_flat @ A.T          # ONE GEMM
+    responses = X_padded_flat @ A.T          # ONE matmul
     ppv/max   = segment reductions over rows # reduceat
+
+The matmul runs one GEMV per row
+(:func:`~repro.backend.core.batch_invariant_matmul`), so a window's
+features never depend on which batch it rides in.
 
 The unrolled matrix does not exploit the Toeplitz structure of the
 convolution, so it performs roughly ``padded_length / kernel_length``
@@ -30,6 +34,8 @@ the grouped transform trained.
 from __future__ import annotations
 
 import numpy as np
+
+from .core import batch_invariant_matmul
 
 __all__ = ["MiniRocketBank", "RocketBank"]
 
@@ -143,7 +149,7 @@ class RocketBank:
         dtype = self.dtype
         n = X.shape[0]
         flat = np.ascontiguousarray(X, dtype=dtype).reshape(n, -1)
-        responses = flat @ self.matrix_t  # (n, R)
+        responses = batch_invariant_matmul(flat, self.matrix_t)  # (n, R)
         responses += self.bias
         positive = (responses > 0).astype(dtype)
         ppv = np.add.reduceat(positive, self.starts, axis=1) / self.seg_len
@@ -235,7 +241,7 @@ class MiniRocketBank:
         dtype = self.dtype
         n = X.shape[0]
         flat = np.ascontiguousarray(X, dtype=dtype).reshape(n, -1)
-        responses = flat @ self.matrix_t
+        responses = batch_invariant_matmul(flat, self.matrix_t)
         responses = responses.reshape(n, self.n_entries, self.n_kernels,
                                       self.out_len)
         ppv = (responses[:, :, :, None, :]

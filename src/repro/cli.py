@@ -131,7 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-batch", type=int, default=64,
                        help="micro-batch panel-size ceiling")
     serve.add_argument("--max-latency-ms", type=float, default=5.0,
-                       help="how long a batch waits for stragglers")
+                       help="cap on a batch's wait for stragglers, taken "
+                            "only while requests arrive faster than batches "
+                            "finish")
     serve.add_argument("--batch-workers", type=int, default=1,
                        help="batch-assembling threads per model")
     serve.add_argument("--max-queue", type=int, default=1024,

@@ -237,15 +237,15 @@ def _replay(scenario: Scenario, service, name: str, *, seed: int,
         late: deque[tuple[int, int, int]] = deque()
         segment_base = window_count
         monitor = DriftMonitor()
-        # max_inflight=1 keeps the replay deterministic: each window
-        # resolves exactly one window behind its submission, so drift
-        # flags, decisions and the promotion break-point land on the
-        # same sample every run (pipelined scoring resolves whenever the
-        # batcher's worker happens to finish — timing-dependent).
+        # Every window resolves at the sample that completes it (feed,
+        # then finish), so drift flags, decisions and the promotion
+        # break-point land on the same sample every run — pipelined
+        # scoring resolves whenever the batcher's worker happens to
+        # finish, which depends on timing.
         with StreamScorer(service, name, window=scenario.window,
                           hop=scenario.hop, version=version,
                           monitor=monitor, adapter=controller,
-                          max_inflight=1, journal=journal) as scorer:
+                          journal=journal) as scorer:
 
             def handle(result) -> int | None:
                 nonlocal window_count, first_affected, delivered, dropped, \
@@ -281,14 +281,13 @@ def _replay(scenario: Scenario, service, name: str, *, seed: int,
                 if sample.label is not None:
                     truths[sample.t] = int(sample.label)
                 label = sample.label if scenario.feed_labels else None
-                for result in scorer.feed(sample.values, label, t=sample.t):
+                for result in scorer.feed(sample.values, label,
+                                          t=sample.t) + scorer.finish():
                     promoted = handle(result) or promoted
                 if promoted is not None:
                     break
             else:
                 exhausted = True
-                for result in scorer.finish():
-                    promoted = handle(result) or promoted
             gap_count += scorer.gaps
         decisions.extend(d.as_dict() for d in controller.decisions)
         stats = service.adaptation_stats(name)

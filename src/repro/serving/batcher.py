@@ -6,13 +6,23 @@ so predicting 64 series in one panel costs little more than predicting
 one.  The :class:`MicroBatcher` exploits that the same way the experiment
 engine exploits job batching: callers submit one series at a time from
 any thread, a small worker pool drains the shared queue, coalesces up to
-``max_batch`` series (waiting at most ``max_latency`` seconds for
-stragglers), stacks them into one ``(n, channels, length)`` panel, and
-fans the predictions back out through per-request futures.
+``max_batch`` series, stacks them into one ``(n, channels, length)``
+panel, and fans the predictions back out through per-request futures.
+
+Waiting for stragglers adapts to arrivals: a worker waits up to
+``max_latency`` seconds for more only while requests arrive faster than
+batches finish — others were already queued behind the first request,
+or the previous batch coalesced more than one.  A request that arrives
+alone runs at once.
 
 Per-series predictions are independent (PPV features and ridge scores
 are computed row-wise), so a label never depends on which other requests
-shared its batch — batching changes throughput, not results.
+shared its batch — batching changes throughput, not results.  Under
+float32 serving the bank and ridge GEMMs multiply one row at a time
+(:func:`repro.backend.batch_invariant_matmul`), so probabilities are
+bit-identical across batch compositions too, except for the deep
+families (fcn, inceptiontime, resnet: float64 under every policy) and
+models served at float64, which move by a few float64 ulps.
 """
 
 from __future__ import annotations
@@ -110,8 +120,11 @@ class MicroBatcher:
     max_batch:
         Panel-size ceiling per predict call.
     max_latency:
-        Seconds a worker waits for stragglers after the first request of a
-        batch arrives — the latency price of coalescing.
+        Cap, in seconds, on a worker's wait for stragglers after the
+        first request of a batch — the latency price of coalescing.  The
+        wait is taken only while arrivals are dense (other requests were
+        already queued, or the previous batch coalesced more than one);
+        a request that arrives alone runs at once.
     workers:
         Batch-assembling threads.  numpy releases the GIL inside the BLAS
         calls that dominate prediction, so a small pool overlaps compute
@@ -362,27 +375,34 @@ class MicroBatcher:
     # ------------------------------------------------------------------ #
 
     def _drain(self) -> None:
+        # Whether the previous batch coalesced more than one request:
+        # arrivals are then dense enough for the next batch to wait too.
+        coalesced = False
         while True:
             item = self._queue.get()
             if item is _SHUTDOWN:
                 self._queue.put(_SHUTDOWN)  # release the next worker
                 return
             batch = [item + (time.monotonic(),)]
-            deadline = time.monotonic() + self.max_latency
             stop = False
-            while len(batch) < self.max_batch:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                try:
-                    item = self._queue.get(timeout=remaining)
-                except queue.Empty:
-                    break
-                if item is _SHUTDOWN:
-                    self._queue.put(_SHUTDOWN)
-                    stop = True
-                    break
-                batch.append(item + (time.monotonic(),))
+            # Waiting only pays while requests arrive faster than batches
+            # finish; a request that arrives alone runs at once.
+            if coalesced or not self._queue.empty():
+                deadline = time.monotonic() + self.max_latency
+                while len(batch) < self.max_batch:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        break
+                    try:
+                        item = self._queue.get(timeout=remaining)
+                    except queue.Empty:
+                        break
+                    if item is _SHUTDOWN:
+                        self._queue.put(_SHUTDOWN)
+                        stop = True
+                        break
+                    batch.append(item + (time.monotonic(),))
+            coalesced = len(batch) > 1
             # The batch is off the queue: wake any submit blocked on space.
             with self._space:
                 self._space.notify_all()

@@ -767,6 +767,9 @@ class _Handler(BaseHTTPRequestHandler):
     # Keep-alive: _reply always sends Content-Length, so clients can reuse
     # one connection for a burst instead of a TCP handshake per request.
     protocol_version = "HTTP/1.1"
+    # Headers and body are two writes; with Nagle on, the body waits for
+    # the client's delayed ACK of the headers (~40 ms per response).
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------ #
 

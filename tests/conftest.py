@@ -1,5 +1,9 @@
 """Shared fixtures: small deterministic panels and datasets."""
 
+import http.client
+import json
+import time
+
 import numpy as np
 import pytest
 
@@ -63,3 +67,23 @@ def numerical_gradient(f, x, eps=1e-6):
         grad[index] = (f_plus - f_minus) / (2 * eps)
         it.iternext()
     return grad
+
+
+def keep_alive_p50_ms(port, path, payload, n=20):
+    """Median round trip in ms of *n* sequential POSTs of *payload* to
+    *path*, all on one keep-alive connection."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=15)
+    body = json.dumps(payload)
+    times = []
+    try:
+        for _ in range(n):
+            start = time.perf_counter()
+            conn.request("POST", path, body=body,
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            response.read()
+            times.append((time.perf_counter() - start) * 1000)
+            assert response.status == 200
+    finally:
+        conn.close()
+    return float(np.median(times))

@@ -11,6 +11,8 @@ The contract under test, end to end:
   :class:`~repro.backend.MiniRocketBank`) reproduce the grouped
   transforms — bit-tight at float64, within the documented tolerance at
   float32 — and refuse to build past their size/FLOP gates;
+* the float32 serving GEMM gives every row the same bits whatever the
+  panel around it;
 * :func:`~repro.backend.open_npz` hands back true zero-copy views into
   uncompressed archives (and falls back to eager reads for compressed
   ones), which :func:`repro.classifiers.load_model` turns into
@@ -35,6 +37,7 @@ from repro.backend import (
     RocketBank,
     apply_folded_ridge,
     apply_inference_policy,
+    batch_invariant_matmul,
     check_parity,
     fold_ridge,
     grouped_conv,
@@ -146,6 +149,23 @@ class TestOps:
         folded = apply_folded_ridge(
             features, *fold_ridge(mean, std, coef, tm, dtype=np.float64))
         np.testing.assert_allclose(folded, reference, atol=1e-10)
+
+    @pytest.mark.parametrize("columns", [2, 30, 8000])
+    def test_batch_invariant_matmul_rows_ignore_the_batch(self, columns):
+        """Each row equals that row multiplied alone, bit for bit, for
+        ridge-head-narrow to bank-wide operands and every panel height
+        (a plain float32 GEMM moves rows of these shapes by ~1e-5), and
+        stays within float32 rounding of the float64 product."""
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=(17, 64)).astype(np.float32)
+        b = rng.normal(size=(64, columns)).astype(np.float32)
+        alone = np.concatenate([batch_invariant_matmul(a[i:i + 1], b)
+                                for i in range(len(a))])
+        for n in (0, 1, 2, 3, 7, 8, 9, 17):
+            np.testing.assert_array_equal(batch_invariant_matmul(a[:n], b),
+                                          alone[:n])
+        np.testing.assert_allclose(alone, a.astype(np.float64) @ b,
+                                   rtol=1e-5, atol=1e-5)
 
     def test_grouped_conv_float64_bit_identical_to_rocket(self):
         """At float64, ``grouped_conv`` and the ROCKET transform built on

@@ -21,18 +21,24 @@ Every classifier family exposed by the registry — the list comes from
   row-stochastic ``(n_series, n_classes)`` matrix, columns in sorted
   ``classes_`` order, whose row-wise argmax agrees with ``predict``
   exactly — the agreement the serving layer relies on when it derives
-  labels from coalesced probability batches.
+  labels from coalesced probability batches;
+* under the float32 serving policy a series' probabilities do not
+  depend on which other series share its panel (batch invariance).
 
 Neural families run with reduced budgets (same classes, fewer epochs and
 filters) so the sweep stays CPU-cheap; the *names* swept are always the
 registry's full list.
 """
 
+import copy
 import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.backend import INFERENCE_POLICY, apply_inference_policy
 from repro.classifiers import (
     accuracy_score,
     available_classifiers,
@@ -257,3 +263,58 @@ class TestComputePolicySweep:
         stays policy-free for every other test in this module."""
         model = _outputs(name)["model"]
         assert getattr(model, "compute_policy", None) is None
+
+
+#: rows in the batch-invariance panel: enough that plain BLAS GEMMs give
+#: its splits and single rows different last bits than the full panel
+N_INVARIANCE = 20
+
+#: the deep families compute in float64 through their own network layers
+#: under every policy, outside the backend's float32 GEMMs, so they are
+#: out of scope for bit-exact invariance: batch size moves their
+#: probabilities by a few float64 ulps (measured up to 3.3e-16)
+DEEP_FAMILIES = ("fcn", "inceptiontime", "resnet")
+DEEP_ATOL = 1e-15
+
+
+@functools.lru_cache(maxsize=None)
+def _served(name: str):
+    """A policy-applied copy of the family's model, its invariance panel
+    and the panel's full-batch probabilities."""
+    model = apply_inference_policy(copy.deepcopy(_outputs(name)["model"]),
+                                   INFERENCE_POLICY)
+    X, _ = make_classification_panel(
+        n_series=N_INVARIANCE, n_channels=N_CHANNELS, length=LENGTH,
+        n_classes=N_CLASSES, difficulty=0.15, seed=11,
+    )
+    return model, X, model.predict_proba(X)
+
+
+def _assert_batch_invariant(name, got, full):
+    if name in DEEP_FAMILIES:
+        np.testing.assert_allclose(got, full, rtol=0.0, atol=DEEP_ATOL)
+    else:
+        np.testing.assert_array_equal(got, full)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+class TestBatchInvariance:
+    """The micro-batcher's contract: under ``INFERENCE_POLICY`` a series
+    gets the same probabilities bit for bit whichever batch it is scored
+    in — split off contiguously or scored alone.  The deep families are
+    held to ``DEEP_ATOL`` instead."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(cuts=st.lists(st.integers(1, N_INVARIANCE - 1), max_size=4,
+                         unique=True))
+    def test_contiguous_splits_match_full_panel(self, name, cuts):
+        model, X, full = _served(name)
+        parts = np.split(X, sorted(cuts))
+        got = np.concatenate([model.predict_proba(part) for part in parts])
+        _assert_batch_invariant(name, got, full)
+
+    def test_single_rows_match_full_panel(self, name):
+        model, X, full = _served(name)
+        got = np.concatenate([model.predict_proba(X[i:i + 1])
+                              for i in range(len(X))])
+        _assert_batch_invariant(name, got, full)

@@ -82,6 +82,76 @@ def test_worker_pool_serves_all(fitted):
     assert np.array_equal(labels, model.predict(X))
 
 
+def test_lone_request_skips_the_straggler_wait():
+    """With nothing queued behind it a request runs at once: max_latency
+    caps a wait that is taken only while arrivals are dense."""
+    with MicroBatcher(lambda p: np.zeros(len(p), dtype=int),
+                      max_latency=1.0) as batcher:
+        start = time.monotonic()
+        assert batcher.submit(np.ones((1, 8))).result(timeout=10) == 0
+        assert time.monotonic() - start < 0.25
+
+
+def test_backlog_coalesces_and_then_waits_at_most_once():
+    """Requests queued behind a running batch coalesce into one batch;
+    after that burst a lone request waits once, and the next not at
+    all."""
+    entered = threading.Event()
+    gate = threading.Event()
+    sizes = []
+
+    def gated(panel):
+        entered.set()
+        gate.wait(timeout=30)
+        sizes.append(len(panel))
+        return np.zeros(len(panel), dtype=int)
+
+    with MicroBatcher(gated, max_batch=8, max_latency=0.3) as batcher:
+        first = batcher.submit(np.ones((1, 8)))
+        assert entered.wait(timeout=10)
+        burst = [batcher.submit(np.ones((1, 8))) for _ in range(8)]
+        gate.set()
+        for future in [first] + burst:
+            future.result(timeout=10)
+        lone = []
+        for _ in range(2):
+            start = time.monotonic()
+            batcher.submit(np.ones((1, 8))).result(timeout=10)
+            lone.append(time.monotonic() - start)
+    assert sizes == [1, 8, 1, 1]
+    assert lone[0] < 1.0
+    assert lone[1] < 0.15
+
+
+def test_after_a_coalesced_batch_a_lone_request_waits_for_stragglers():
+    """Arrivals stay dense after a batch that coalesced: the next request
+    waits for one just behind it even though nothing was queued when it
+    was dequeued."""
+    entered = threading.Event()
+    gate = threading.Event()
+    sizes = []
+
+    def gated(panel):
+        entered.set()
+        gate.wait(timeout=30)
+        sizes.append(len(panel))
+        return np.zeros(len(panel), dtype=int)
+
+    with MicroBatcher(gated, max_batch=2, max_latency=1.0) as batcher:
+        first = batcher.submit(np.ones((1, 8)))
+        assert entered.wait(timeout=10)
+        pair = [batcher.submit(np.ones((1, 8))) for _ in range(2)]
+        gate.set()
+        for future in [first] + pair:
+            future.result(timeout=10)
+        lone = batcher.submit(np.ones((1, 8)))
+        time.sleep(0.05)
+        straggler = batcher.submit(np.ones((1, 8)))
+        lone.result(timeout=10)
+        straggler.result(timeout=10)
+    assert sizes == [1, 2, 2]
+
+
 def test_univariate_series_promoted():
     seen = []
 

@@ -25,6 +25,8 @@ from repro.serving import (
 from repro.serving.pool import _scrape
 from repro.streaming import stream_windows
 
+from conftest import keep_alive_p50_ms
+
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="the worker pool is fork-based")
 
@@ -131,6 +133,15 @@ class TestPoolServing:
                                  worker=slot) == 1
         assert _metric_value(text, "repro_pool_workers") == 2
         assert _metric_value(text, "repro_pool_respawns_total") == 0
+
+    def test_sequential_keep_alive_predicts_are_fast(self, pool, trained):
+        """Pool workers inherit the handler's Nagle switch: twenty
+        back-to-back predicts on one connection never wait on the
+        client's delayed ACK."""
+        _model, X = trained
+        p50 = keep_alive_p50_ms(pool.port, "/v1/models/demo/predict",
+                                {"series": X[0].tolist()})
+        assert p50 < 20.0
 
     def test_healthz_reports_pool_state(self, pool):
         status, payload, worker = _request(pool.port, "GET", "/healthz")

@@ -20,6 +20,8 @@ from repro.serving import (
     prepare_panel,
 )
 
+from conftest import keep_alive_p50_ms
+
 PREDICT_KWARGS = dict(dataset="synthetic", preprocessing="znormalize+impute")
 
 
@@ -71,6 +73,18 @@ def _post(server, path, payload):
             return response.status, json.load(response)
     except urllib.error.HTTPError as error:
         return error.code, json.load(error)
+
+
+class TestKeepAliveLatency:
+    def test_sequential_predicts_on_one_connection_are_fast(self, server,
+                                                            problem):
+        """A lone request pays neither the client's delayed ACK (the
+        response is two writes; with Nagle on, the body waits ~40 ms for
+        the ACK of the headers) nor a straggler wait."""
+        X, _ = problem
+        p50 = keep_alive_p50_ms(server.port, "/v1/models/demo/predict",
+                                {"series": X[0].tolist()})
+        assert p50 < 20.0
 
 
 class TestRoutes:

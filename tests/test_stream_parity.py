@@ -110,26 +110,19 @@ class TestBackfillStreamParity:
     @pytest.mark.parametrize("hop", [WINDOW, 8])
     def test_probas_match_batch_predict(self, service, problem, name, hop):
         """Stream probabilities == batch probabilities on the float32
-        serving default, to float32 rounding.
-
-        Float32 GEMMs round differently for panels of fewer than about
-        eight rows, so which windows the micro-batcher happens to
-        coalesce moves float32 probabilities.  On these models a window
-        scored alone differs from the same window inside the full panel
-        by up to ~3e-7 (every batch size from 1 to 16 measured), which
-        is past ``rtol=1e-6`` on the ~0.12 probabilities; hence the
-        absolute term.  A misaligned or mis-preprocessed window moves
-        them by orders of magnitude more.
-        """
+        serving default, bit for bit: the float32 GEMMs are
+        batch-invariant, so whichever windows the micro-batcher happens
+        to coalesce cannot move a probability."""
         _assert_stream_probas_match_batch(service, problem, name, hop,
-                                          rtol=1e-6, atol=1e-6)
+                                          rtol=0.0, atol=0.0)
 
     @pytest.mark.parametrize("name", ["protocol", "raw"])
     @pytest.mark.parametrize("hop", [WINDOW, 8])
     def test_float64_probas_match_batch_predict(self, service_f64, problem,
                                                 name, hop):
-        """On the float64 path batch composition moves nothing: stream
-        probabilities equal batch probabilities to 1e-9."""
+        """On the float64 path batch composition moves probabilities by a
+        few ulps at most: stream probabilities equal batch probabilities
+        to 1e-9."""
         _assert_stream_probas_match_batch(service_f64, problem, name, hop,
                                           rtol=1e-9, atol=1e-12)
 
@@ -216,6 +209,5 @@ class TestFloat32BackfillStreamParity:
                           use_proba=True)
         windows = _stream_windows(X[:10], 8)
         batch = service.predict("protocol", windows, return_proba=True)
-        np.testing.assert_allclose(
-            np.stack([r.proba for r in results]),
-            np.asarray(batch["probas"]), rtol=1e-6, atol=1e-9)
+        np.testing.assert_array_equal(np.stack([r.proba for r in results]),
+                                      np.asarray(batch["probas"]))

@@ -13,10 +13,6 @@ repeated — to the same stream run uninterrupted.
   peer via the replicated session blob;
 - a canary promotion mid-stream, which must reach the open stream as an
   in-place swap — no reconnect, no double-scored or skipped window.
-
-All servers here run ``max_batch=1``: micro-batch composition shifts
-float accumulation order by 1 ulp, and these tests assert equality on
-the wire bytes, not approximate closeness.
 """
 
 import json
@@ -187,7 +183,7 @@ def samples(panel):
 
 @pytest.fixture(scope="module")
 def server(registry):
-    server = create_server(registry, port=0, max_batch=1)
+    server = create_server(registry, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server
@@ -296,8 +292,7 @@ class TestPoolWorkerDeath:
         """SIGKILL the worker holding the stream: the client's resume
         lands on a peer, which fetches the replicated session blob over
         the side channel and continues bit-identically."""
-        with ServingPool(registry, workers=2, max_batch=1,
-                         drain_timeout=2.0) as pool:
+        with ServingPool(registry, workers=2, drain_timeout=2.0) as pool:
             baseline = _baseline(pool.port, "demo", samples)
             got, workers_seen, killed = [], [], False
             for event in stream_session("127.0.0.1", pool.port, "demo",
