@@ -17,6 +17,9 @@ Walks every layer of the confidence-aware serving stack in one process:
      publishes the result as the next version tagged ``canary``;
    * live windows are shadow-scored against both versions;
    * the canary wins on accuracy and the ``stable`` tag moves to it;
+   * the open stream swaps to the promoted version in place
+     (:func:`~repro.adaptation.adapt_stream`), so the adapted model
+     scores the rest of the stream;
 
 4. print the decision, the registry state and the adaptation metrics
    the server would export on ``/metrics``.
@@ -34,17 +37,18 @@ import tempfile
 
 import numpy as np
 
-from repro.adaptation import AdaptationController, family_trainer
+from repro.adaptation import AdaptationController, adapt_stream, family_trainer
 from repro.classifiers import RocketClassifier
 from repro.data.generators import MTSGenerator
 from repro.serving import (
     PROTOCOL_PREPROCESSING,
+    ModelRecord,
     ModelRegistry,
     PredictionService,
     model_metadata,
     prepare_panel,
 )
-from repro.streaming import StreamScorer, SyntheticSource
+from repro.streaming import StreamScorer, SyntheticSource, WindowResult
 
 WINDOW = 32
 N_SERIES = 160
@@ -76,24 +80,31 @@ def main() -> None:
     )
 
     # 3. stream the same world, with a concept shift partway through.
+    #    adapt_stream yields each window, each decision, and the record
+    #    the stream swaps to in place after a promotion.
     source = SyntheticSource(generator=generator, n_series=N_SERIES,
                              seed=3, shift_at=SHIFT_AT)
     shift_window = SHIFT_AT // WINDOW
     printed_flag = False
     with StreamScorer(service, "demo", window=WINDOW,
                       adapter=controller) as scorer:
-        for sample in source:
-            for result in scorer.feed(sample.values, sample.label):
-                drift = result.drift
-                if result.index in (0, shift_window) \
-                        or (drift.shift and not printed_flag):
-                    marker = " <-- DRIFT FLAG" if drift.shift else ""
-                    print(f"window {result.index:3d}: label={result.label} "
-                          f"truth={result.truth} "
-                          f"confidence={result.confidence:.3f} "
-                          f"acc_fast={drift.accuracy_fast:.2f}{marker}")
-                    printed_flag = printed_flag or drift.shift
-        scorer.finish()
+        samples = ((s.values, s.label, s.t) for s in source)
+        for event in adapt_stream(scorer, samples):
+            if isinstance(event, ModelRecord):
+                print(f"swapped the open stream to demo:{event.version} "
+                      f"after window {scorer.windows - 1}")
+                continue
+            if not isinstance(event, WindowResult):
+                continue  # the decision; printed below
+            drift = event.drift
+            if event.index in (0, shift_window) \
+                    or (drift.shift and not printed_flag):
+                marker = " <-- DRIFT FLAG" if drift.shift else ""
+                print(f"window {event.index:3d}: label={event.label} "
+                      f"truth={event.truth} "
+                      f"confidence={event.confidence:.3f} "
+                      f"acc_fast={drift.accuracy_fast:.2f}{marker}")
+                printed_flag = printed_flag or drift.shift
     service.close()
 
     # 4. what happened?
@@ -112,8 +123,9 @@ def main() -> None:
 
     promoted = registry.record("demo", "stable")
     assert promoted.version == 2, "expected the canary to be promoted"
+    assert scorer.record.version == 2, "expected the stream to swap to it"
     print(f"\nthe stream healed itself: 'stable' now points at "
-          f"demo:{promoted.version}")
+          f"demo:{promoted.version}, which scored the rest of the stream")
 
 
 if __name__ == "__main__":

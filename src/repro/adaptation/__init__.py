@@ -15,17 +15,25 @@ and flags concept shifts; this package closes the loop:
   criterion.
 
 Hook a controller into a :class:`~repro.streaming.StreamScorer` via its
-``adapter`` argument; drive the whole loop from the terminal with
-``repro adapt``.  Every transition is observable through ``/metrics``
-(see ``docs/operations.md``) and the ``decisions`` list.
+``adapter`` argument and drive both with :func:`adapt_stream`, the one
+loop that swaps the stream onto each promoted version in place; from the
+terminal, ``repro adapt`` runs it.  Every transition is observable
+through ``/metrics`` (see ``docs/operations.md``) and the ``decisions``
+list.
 """
 
 from .buffer import ReplayBuffer
-from .controller import AdaptationController, AdaptationDecision, family_trainer
+from .controller import (
+    AdaptationController,
+    AdaptationDecision,
+    adapt_stream,
+    family_trainer,
+)
 
 __all__ = [
     "AdaptationController",
     "AdaptationDecision",
     "ReplayBuffer",
+    "adapt_stream",
     "family_trainer",
 ]

@@ -135,41 +135,6 @@ class ReplayBuffer:
         y = np.asarray([label for _, label, _ in entries], dtype=np.int64)
         return X, y
 
-    def entries(self, *, last: int | None = None
-                ) -> list[tuple[np.ndarray, int, int | None]]:
-        """A copied list of ``(panel, label, index)`` entries, oldest
-        first; *last* keeps only the freshest that many.
-
-        This is the durable-session escape hatch: the controller's
-        codec snapshot serialises exactly these tuples, and
-        :meth:`restore` reloads them on the resuming host.  The panels
-        are the buffer's own references (callers must not mutate them).
-        """
-        with self._lock:
-            entries = list(self._entries)
-        if last is not None:
-            entries = entries[-last:]
-        return entries
-
-    def restore(self, entries) -> None:
-        """Replace the held windows with *entries* (``(panel, label,
-        index)`` tuples, oldest first) — the inverse of :meth:`entries`.
-
-        Entries beyond ``capacity`` are dropped oldest-first, matching
-        what :meth:`add` would have kept had they arrived live.
-        """
-        with self._lock:
-            self._entries.clear()
-            for panel, label, index in entries:
-                panel = np.asarray(panel, dtype=np.float64)
-                if panel.ndim != 2:
-                    raise ValueError(
-                        f"a buffered window is one (channels, length) "
-                        f"panel; got ndim={panel.ndim}")
-                self._entries.append(
-                    (panel, int(label),
-                     None if index is None else int(index)))
-
     def clear(self) -> None:
         """Drop every buffered window (used after a promotion: the stable
         concept changed, so pre-promotion windows are stale)."""

@@ -61,22 +61,31 @@ from ..serving.server import (
     _jsonable,
     prepare_panel,
 )
-from ..streaming.session import decode_array, encode_array
 from .buffer import ReplayBuffer
 
-__all__ = ["AdaptationController", "AdaptationDecision", "family_trainer"]
+__all__ = ["AdaptationController", "AdaptationDecision", "adapt_stream",
+           "family_trainer"]
 
-#: registry family + default budget per published model kind — what the
-#: default trainer rebuilds when no explicit trainer is given.  Budgets
-#: are serving-scale (a drift response must fit in seconds, not hours).
-_KIND_TO_FAMILY = {
-    "RocketClassifier": ("rocket", {"num_kernels": 500}),
-    "MiniRocketClassifier": ("minirocket", {"num_features": 500}),
-    "InceptionTimeClassifier": ("inceptiontime", {
+#: serving-scale budget per publishable family (a drift response must fit
+#: in seconds, not hours).  ``repro train`` builds from the same table, so
+#: a default retrain has its stable model's architecture and the shadow
+#: comparison is fair; the train flags override the two ROCKET budgets.
+_SERVING_BUDGETS = {
+    "rocket": {"num_kernels": 500},
+    "minirocket": {"num_features": 500},
+    "inceptiontime": {
         "n_filters": 8, "depth": 3, "kernel_sizes": (9, 5, 3),
         "bottleneck": 8, "ensemble_size": 1, "max_epochs": 30,
         "patience": 10, "batch_size": 16,
-    }),
+    },
+}
+
+#: registry family per published model kind — what the default trainer
+#: rebuilds when no explicit trainer is given
+_KIND_TO_FAMILY = {
+    "RocketClassifier": "rocket",
+    "MiniRocketClassifier": "minirocket",
+    "InceptionTimeClassifier": "inceptiontime",
 }
 
 
@@ -363,68 +372,19 @@ class AdaptationController:
         return not thread.is_alive()
 
     # ------------------------------------------------------------------ #
-    # durable sessions: codec snapshot / restore, live rebase
+    # live rebase
     # ------------------------------------------------------------------ #
-
-    def snapshot(self) -> dict:
-        """JSON-able adaptation state for the session codec.
-
-        Serialises the replay buffer (panels as codec arrays, labels,
-        stream indices) and the loop phase.  The two phases that hold
-        host-local state — a ``retraining`` thread mid-fit, a
-        ``shadowing`` canary with futures in flight — cannot move
-        hosts; they are downgraded to ``idle`` with a full cooldown, so
-        a resumed stream abandons the interrupted canary and waits for
-        the next confirmed flag instead of double-publishing.
-        ``collecting`` survives verbatim: it is nothing but a counter.
-        """
-        with self._lock:
-            state = self._state
-            collected = self._collected
-            cooldown = self._cooldown
-            trigger = self._trigger_signal
-        if state not in ("idle", "collecting"):
-            state, collected, trigger = "idle", 0, None
-            cooldown = self.cooldown_windows
-        return {
-            "state": state, "collected": int(collected),
-            "cooldown": int(cooldown), "trigger_signal": trigger,
-            "stable_version": self.stable.version,
-            "buffer": [
-                {"panel": encode_array(panel), "label": int(label),
-                 "index": None if index is None else int(index)}
-                for panel, label, index in self.buffer.entries()
-            ],
-        }
-
-    def restore(self, state: dict) -> None:
-        """Adopt a :meth:`snapshot` — buffer contents and loop phase.
-
-        Meant for a freshly built controller resuming a durable
-        session; any in-progress local phase is discarded.
-        """
-        self.buffer.restore([
-            (decode_array(entry["panel"]), entry["label"], entry["index"])
-            for entry in state.get("buffer", ())
-        ])
-        with self._lock:
-            phase = str(state.get("state", "idle"))
-            self._state = phase if phase in ("idle", "collecting") else "idle"
-            self._collected = int(state.get("collected", 0))
-            self._cooldown = int(state.get("cooldown", 0))
-            trigger = state.get("trigger_signal")
-            self._trigger_signal = None if trigger is None else str(trigger)
 
     def rebase(self, version=None) -> None:
         """Re-point the stable baseline at *version* without rebuilding.
 
         The in-place counterpart of constructing a fresh controller
-        after a promotion: the scorer swaps to the promoted version via
-        ``swap_version`` and the controller rebases onto the same
-        record, so future canaries are judged against (and inherit
-        metadata from) the model actually serving the stream.  The
-        replay buffer and cooldown are left as the decision set them —
-        ``_decide`` already cleared the buffer on promote.
+        after a promotion: :func:`adapt_stream` swaps the scorer to the
+        promoted version (``swap_version``) and rebases the controller
+        onto the same record, so future canaries are judged against (and
+        inherit metadata from) the model actually serving the stream.
+        The replay buffer and cooldown are left as the decision set
+        them — ``_decide`` already cleared the buffer on promote.
         """
         with self._lock:
             self.stable = self.registry.record(self.name, version)
@@ -536,14 +496,14 @@ class AdaptationController:
         """Rebuild the stable record's family at serving-scale budget."""
         kind = self.stable.metadata.get("model_kind")
         try:
-            family, budget = _KIND_TO_FAMILY[kind]
+            family = _KIND_TO_FAMILY[kind]
         except KeyError:
             raise RuntimeError(
                 f"no default trainer for model kind {kind!r}; pass an "
                 f"explicit trainer to AdaptationController"
             ) from None
         seed = int(self.stable.metadata.get("seed") or 0)
-        return family_trainer(family, seed=seed, **budget)
+        return family_trainer(family, seed=seed, **_SERVING_BUDGETS[family])
 
     # ------------------------------------------------------------------ #
     # shadow scoring -> decision
@@ -725,3 +685,43 @@ class AdaptationController:
             self._canary = None
             self._state = "idle"
             self._cooldown = self.cooldown_windows
+
+
+def adapt_stream(scorer, samples):
+    """Drive *scorer* and its controller over ``(values, label, t)`` samples.
+
+    The one adaptive-stream loop: ``repro adapt``, the scenario harness
+    and ``examples/adaptive_serving.py`` all consume it.  *scorer* is an
+    open :class:`~repro.streaming.StreamScorer` whose ``adapter`` is an
+    :class:`AdaptationController`.  Yields, in order:
+
+    * every :class:`~repro.streaming.WindowResult`;
+    * each :class:`AdaptationDecision`, right after the window whose
+      observation produced it;
+    * after the sample whose window produced a promote decision, the
+      :class:`~repro.serving.registry.ModelRecord` the scorer swapped to.
+
+    Each window resolves at the sample that completes it (``feed`` then
+    ``finish``), so flags, decisions and swaps land on the same sample
+    however fast the batcher answers: with an inline retrain the events
+    are a function of the samples alone.  A promotion moves the open
+    scorer onto the canary in place (``swap_version``) and rebases the
+    controller onto it; the drift monitor, the replay buffer, the
+    cooldown and the window counters carry straight through.
+    """
+    controller = scorer.adapter
+    seen = len(controller.decisions)
+    for values, label, t in samples:
+        promoted = None
+        for result in scorer.feed(values, label, t=t) + scorer.finish():
+            yield result
+            fresh = controller.decisions[seen:]
+            seen += len(fresh)
+            for decision in fresh:
+                yield decision
+                if decision.action == "promote":
+                    promoted = decision.canary_version
+        if promoted is not None:
+            record = scorer.swap_version(promoted)
+            controller.rebase(record.version)
+            yield record

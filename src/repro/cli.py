@@ -465,21 +465,15 @@ def _cmd_fidelity(args) -> int:
 
 
 def _build_classifier(args, model_rng):
-    from .classifiers import (
-        InceptionTimeClassifier,
-        MiniRocketClassifier,
-        RocketClassifier,
-    )
+    # The table a default retrain rebuilds from, so a canary has its
+    # stable model's architecture; the flags set the ROCKET budgets.
+    from .adaptation.controller import _SERVING_BUDGETS
+    from .classifiers import make_classifier
 
-    if args.model == "rocket":
-        return RocketClassifier(num_kernels=args.kernels, seed=model_rng)
-    if args.model == "minirocket":
-        return MiniRocketClassifier(num_features=args.features, seed=model_rng)
-    return InceptionTimeClassifier(
-        n_filters=8, depth=3, kernel_sizes=(9, 5, 3), bottleneck=8,
-        ensemble_size=1, max_epochs=30, patience=10, batch_size=16,
-        seed=model_rng,
-    )
+    flags = {"rocket": {"num_kernels": args.kernels},
+             "minirocket": {"num_features": args.features}}
+    budget = {**_SERVING_BUDGETS[args.model], **flags.get(args.model, {})}
+    return make_classifier(args.model, seed=model_rng, **budget)
 
 
 def _cmd_train(args) -> int:
@@ -704,23 +698,26 @@ def _cmd_stream(args) -> int:
 def _cmd_adapt(args) -> int:
     """Drive the in-process adaptation loop over a replayed/synthetic stream.
 
-    The stream is scored exactly as ``repro stream`` scores it, with an
+    The stream is scored window by window with an
     :class:`~repro.adaptation.AdaptationController` hooked into the
-    scorer: confirmed drift triggers a retrain, the canary is published
-    and shadow-scored, and the promote/rollback decision is printed as a
+    scorer, through :func:`~repro.adaptation.adapt_stream`: confirmed
+    drift triggers a retrain, the canary is published and
+    shadow-scored, and the promote/rollback decision is printed as a
     ``{"kind": "decision", ...}`` line.  After a promotion the scorer
-    swaps to the promoted version *in place* (``swap_version``) and the
-    controller rebases its baseline onto it — no window is double-scored
-    or skipped across the switch, and the rest of the stream is scored
-    by the adapted model (the self-healing path, end to end).  Each
-    swap is printed as a ``{"kind": "swap", ...}`` line.
+    swaps to the promoted version *in place* and the controller rebases
+    onto it — no window is double-scored or skipped across the switch,
+    and the rest of the stream is scored by the adapted model (the
+    self-healing path, end to end).  Each swap is printed as a
+    ``{"kind": "swap", ...}`` line.  With the default inline retrain
+    the output is a function of the arguments alone.
     """
     import json
 
-    from .adaptation import AdaptationController
+    from .adaptation import (AdaptationController, AdaptationDecision,
+                             adapt_stream)
     from .observability import AuditJournal
     from .serving import ModelRegistry, PredictionService, ServingError
-    from .streaming import DriftMonitor, StreamScorer
+    from .streaming import DriftMonitor, StreamScorer, WindowResult
 
     replay = _replay(args)
     if replay is None:
@@ -732,83 +729,46 @@ def _cmd_adapt(args) -> int:
     def emit(payload: dict) -> None:
         print(json.dumps(payload), flush=True)
 
-    version = args.version
-    windows = shifts = 0
-    errors: list[str] = []
     try:
         controller = AdaptationController(
-            service, args.name, version=version,
+            service, args.name, version=args.version,
             collect_windows=args.collect_windows,
             shadow_windows=args.shadow_windows,
             cooldown_windows=args.cooldown,
             background=args.background, journal=journal,
         )
-        decisions_seen = 0
         monitor = DriftMonitor(
             threshold=args.drift_threshold,
             confidence_threshold=args.confidence_threshold,
             warmup=args.warmup, persistence=args.persistence,
         )
         with StreamScorer(service, args.name, window=window,
-                          hop=args.hop, version=version,
+                          hop=args.hop, version=args.version,
                           monitor=monitor, adapter=controller,
                           journal=journal) as scorer:
-
-            def handle(result) -> int | None:
-                nonlocal windows, shifts, decisions_seen
-                windows += 1
-                shifts += int(result.drift.shift if result.drift else 0)
-                if not args.quiet:
-                    emit(result.as_dict())
-                switch = None
-                while decisions_seen < len(controller.decisions):
-                    decision = controller.decisions[decisions_seen]
-                    decisions_seen += 1
-                    emit(decision.as_dict())
-                    if decision.action == "promote":
-                        switch = decision.canary_version
-                return switch
-
-            def promote(target) -> None:
-                # In-place switch: the open scorer moves onto the
-                # promoted version (windows already submitted resolve
-                # on the old one; nothing is double-scored or skipped)
-                # and the controller rebases its baseline onto the same
-                # record, so the monitor's EWMAs and the stream's
-                # counters carry straight through.
-                nonlocal version
-                record = scorer.swap_version(target)
-                controller.rebase(record.version)
-                version = record.version
-                emit({"kind": "swap", "version": record.version,
-                      "window": scorer.windows})
-
-            for sample in samples:
-                label = None if args.no_labels else sample.label
-                promoted = None
-                for result in scorer.feed(sample.values, label):
-                    promoted = handle(result) or promoted
-                if promoted is not None:
-                    promote(promoted)
-            promoted = None
-            for result in scorer.finish():
-                promoted = handle(result) or promoted
-            if promoted is not None:
-                # The decision landed on the final flush; no windows
-                # follow, but the summary must name the adapted model.
-                promote(promoted)
+            labelled = ((sample.values,
+                         None if args.no_labels else sample.label, sample.t)
+                        for sample in samples)
+            for event in adapt_stream(scorer, labelled):
+                if isinstance(event, WindowResult):
+                    if not args.quiet:
+                        emit(event.as_dict())
+                elif isinstance(event, AdaptationDecision):
+                    emit(event.as_dict())
+                else:
+                    emit({"kind": "swap", "version": event.version,
+                          "window": scorer.windows})
         controller.wait(timeout=60.0)
-        errors.extend(error for error in controller.errors
-                      if error not in errors)
         stats = service.adaptation_stats(args.name)
         emit({
-            "kind": "summary", "model": args.name, "windows": windows,
-            "shifts": shifts, "retrainings": stats.retrainings.value,
+            "kind": "summary", "model": args.name, "windows": scorer.windows,
+            "shifts": scorer.shifts, "retrainings": stats.retrainings.value,
             "promotions": stats.promotions.value,
             "rollbacks": stats.rollbacks.value,
-            "serving_version": version,
+            "serving_version": scorer.version,
             "state": controller.state,
         })
+        errors = list(dict.fromkeys(controller.errors))
         for error in errors:
             print(f"error: {error}", file=sys.stderr)
         return 1 if errors else 0

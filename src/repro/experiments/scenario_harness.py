@@ -9,9 +9,11 @@ the end.  This harness is the measuring instrument: for each world it
    publishes it to a fresh registry under the serving protocol's
    metadata (so the stream path z-normalises exactly like batch);
 2. replays the world's sample stream through ``StreamScorer →
-   DriftMonitor → AdaptationController`` — the real production loop,
-   adaptation inline for determinism — reopening the scorer pinned to
-   every promoted version, exactly like ``repro adapt``;
+   DriftMonitor → AdaptationController`` with
+   :func:`~repro.adaptation.adapt_stream`, the loop ``repro adapt``
+   runs — adaptation inline for determinism, one scorer and one
+   controller for the whole stream, the scorer swapped in place onto
+   every promoted version;
 3. scores what happened against the world's own truth:
    **detection delay** (windows from the first drift-affected window to
    the first flag), **false flags** (flags raised while the concept was
@@ -28,7 +30,9 @@ Late labels: worlds with ``feed_labels=False`` are scored unlabelled
 each window's truth ``label_delay`` windows later through
 :meth:`~repro.adaptation.AdaptationController.deliver_label` — the
 replay buffer upgrades in place, so retrains use truth even though the
-stream never carried it.
+stream never carried it.  A label whose window the buffer no longer
+holds (evicted, or cleared by a promotion) counts as dropped, so every
+label that comes due is counted once.
 
 Everything is JSON-serialisable: :func:`run_suite` returns (and
 optionally persists) one report per world plus a suite verdict, which is
@@ -46,14 +50,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from ..adaptation import AdaptationController
+from ..adaptation import AdaptationController, adapt_stream
 from ..classifiers import make_classifier
 from ..data.scenarios import Scenario, make_world
 from ..observability import AuditJournal
 from ..serving import ModelRegistry, PredictionService
 from ..serving.registry import model_metadata
 from ..serving.server import PROTOCOL_PREPROCESSING, prepare_panel
-from ..streaming import DriftMonitor, StreamScorer
+from ..streaming import StreamScorer, WindowResult
 
 __all__ = ["ScenarioReport", "run_scenario", "run_suite"]
 
@@ -214,96 +218,53 @@ def _replay(scenario: Scenario, service, name: str, *, seed: int,
     flags: list[int] = []
     outcomes: list[tuple[int, int, bool]] = []  # (window, end, correct)
     first_affected: int | None = None
-    window_count = gap_count = 0
     delivered = dropped = 0
-    version = None
-    retrainings = promotions = rollbacks = 0
-    decisions: list[dict] = []
+    late: deque[tuple[int, int]] = deque()  # (window, truth) not yet due
 
-    feed = iter(scenario.source())
-    exhausted = False
-    while not exhausted:
-        controller = AdaptationController(
-            service, name, version=version,
-            collect_windows=collect_windows,
-            shadow_windows=shadow_windows,
-            cooldown_windows=cooldown_windows,
-            background=False, journal=journal,
-        )
-        decisions_seen = 0
-        promoted = None
-        #: late-label queue for THIS controller: (due window, local window
-        #: index, truth) — indices are per-scorer, so a promotion drops it
-        late: deque[tuple[int, int, int]] = deque()
-        segment_base = window_count
-        monitor = DriftMonitor()
-        # Every window resolves at the sample that completes it (feed,
-        # then finish), so drift flags, decisions and the promotion
-        # break-point land on the same sample every run — pipelined
-        # scoring resolves whenever the batcher's worker happens to
-        # finish, which depends on timing.
-        with StreamScorer(service, name, window=scenario.window,
-                          hop=scenario.hop, version=version,
-                          monitor=monitor, adapter=controller,
-                          journal=journal) as scorer:
+    def samples():
+        for sample in scenario.source():
+            if sample.label is not None:
+                truths[sample.t] = int(sample.label)
+            label = sample.label if scenario.feed_labels else None
+            yield sample.values, label, sample.t
 
-            def handle(result) -> int | None:
-                nonlocal window_count, first_affected, delivered, dropped, \
-                    decisions_seen
-                index = segment_base + result.index
-                window_count += 1
-                truth = truths.get(result.end)
-                if truth is not None:
-                    outcomes.append((index, result.end, result.label == truth))
-                if result.drift is not None and result.drift.shift:
-                    flags.append(index)
-                if first_drift is not None and first_affected is None \
-                        and result.end >= first_drift:
-                    first_affected = index
-                if scenario.label_delay > 0 and truth is not None:
-                    late.append((index + scenario.label_delay,
-                                 result.index, truth))
-                while late and late[0][0] <= index:
-                    _, local_index, late_truth = late.popleft()
-                    if controller.deliver_label(local_index, late_truth):
-                        delivered += 1
-                    else:
-                        dropped += 1
-                switch = None
-                while decisions_seen < len(controller.decisions):
-                    decision = controller.decisions[decisions_seen]
-                    decisions_seen += 1
-                    if decision.action == "promote":
-                        switch = decision.canary_version
-                return switch
+    controller = AdaptationController(
+        service, name, collect_windows=collect_windows,
+        shadow_windows=shadow_windows, cooldown_windows=cooldown_windows,
+        background=False, journal=journal,
+    )
+    with StreamScorer(service, name, window=scenario.window,
+                      hop=scenario.hop, adapter=controller,
+                      journal=journal) as scorer:
+        for result in adapt_stream(scorer, samples()):
+            if not isinstance(result, WindowResult):
+                continue
+            truth = truths.get(result.end)
+            if truth is not None:
+                outcomes.append((result.index, result.end,
+                                 result.label == truth))
+                if scenario.label_delay > 0:
+                    late.append((result.index, truth))
+            if result.drift is not None and result.drift.shift:
+                flags.append(result.index)
+            if first_drift is not None and first_affected is None \
+                    and result.end >= first_drift:
+                first_affected = result.index
+            while late and late[0][0] + scenario.label_delay <= result.index:
+                if controller.deliver_label(*late.popleft()):
+                    delivered += 1
+                else:
+                    dropped += 1
 
-            for sample in feed:
-                if sample.label is not None:
-                    truths[sample.t] = int(sample.label)
-                label = sample.label if scenario.feed_labels else None
-                for result in scorer.feed(sample.values, label,
-                                          t=sample.t) + scorer.finish():
-                    promoted = handle(result) or promoted
-                if promoted is not None:
-                    break
-            else:
-                exhausted = True
-            gap_count += scorer.gaps
-        decisions.extend(d.as_dict() for d in controller.decisions)
-        stats = service.adaptation_stats(name)
-        retrainings = stats.retrainings.value
-        promotions = stats.promotions.value
-        rollbacks = stats.rollbacks.value
-        if promoted is not None:
-            # Reopen against the promoted version: the rest of the
-            # stream is scored by the adapted model.
-            version = promoted
-
-    return _score(scenario, seed=seed, windows=window_count, gaps=gap_count,
-                  flags=flags, outcomes=outcomes,
-                  first_affected=first_affected, retrainings=retrainings,
-                  promotions=promotions, rollbacks=rollbacks,
-                  decisions=decisions, delivered=delivered, dropped=dropped)
+    stats = service.adaptation_stats(name)
+    return _score(scenario, seed=seed, windows=scorer.windows,
+                  gaps=scorer.gaps, flags=flags, outcomes=outcomes,
+                  first_affected=first_affected,
+                  retrainings=stats.retrainings.value,
+                  promotions=stats.promotions.value,
+                  rollbacks=stats.rollbacks.value,
+                  decisions=[d.as_dict() for d in controller.decisions],
+                  delivered=delivered, dropped=dropped)
 
 
 def _score(scenario: Scenario, *, seed: int, windows: int, gaps: int,

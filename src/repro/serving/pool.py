@@ -40,8 +40,7 @@ pool state alongside the answering worker's own liveness.
 Canary promotion needs no pool plumbing at all: each worker's registry
 re-stats the model manifest on every request, so a tag move published by
 ``repro promote`` (or the adaptation controller) is visible on every
-worker within one manifest ``stat`` — the side channel's ``resolve``
-command exists precisely so tests can prove that.
+worker within one manifest ``stat``.
 """
 
 from __future__ import annotations
@@ -72,6 +71,10 @@ _FAST_FAIL_WINDOW = 5.0
 #: side-channel request/response deadline — scrapes are small and local,
 #: so anything slower than this means the peer is wedged, not busy
 _SIDE_CHANNEL_TIMEOUT = 2.0
+
+#: longest side-channel command line a worker reads — far above any
+#: session blob (a window-1024 x 8-channel ring is ~90 KB), yet bounded
+_SIDE_CHANNEL_MAX_REQUEST = 16 * 1024 * 1024
 
 #: the pool's own families, rendered after the merged worker expositions:
 #: ``pool`` carries one unlabelled entry, ``slot`` one per worker slot
@@ -120,12 +123,13 @@ def _scrape(sock_path: str, command: dict,
 class _SideChannel:
     """Per-worker unix-socket command server for peer scrapes.
 
-    Protocol: one JSON object per connection —
+    Protocol: one JSON command line per connection —
     ``{"cmd": "metrics"}`` answers the worker's raw exposition text,
-    ``{"cmd": "health"}`` its liveness JSON, and
-    ``{"cmd": "resolve", "name": ..., "version": ...}`` the model record
-    this worker's registry resolves *right now* (how tests observe that
-    a promotion reached every worker).  The responder half-closes after
+    ``{"cmd": "session_put", "blob": ...}`` adopts a peer's replicated
+    session blob, and ``{"cmd": "session_take", "id": ..., "token": ...}``
+    hands a held blob over to a resuming peer.  The command is read up
+    to its newline, however long (bounded by
+    ``_SIDE_CHANNEL_MAX_REQUEST``).  The responder half-closes after
     writing, which is the client's end-of-response signal.
     """
 
@@ -158,12 +162,8 @@ class _SideChannel:
         try:
             with conn:
                 conn.settimeout(_SIDE_CHANNEL_TIMEOUT)
-                request = b""
-                while b"\n" not in request and len(request) < 65536:
-                    data = conn.recv(4096)
-                    if not data:
-                        break
-                    request += data
+                with conn.makefile("rb") as reader:
+                    request = reader.readline(_SIDE_CHANNEL_MAX_REQUEST)
                 command = json.loads(request.decode() or "{}")
                 conn.sendall(self._respond(command))
         except (OSError, ValueError):
@@ -173,20 +173,6 @@ class _SideChannel:
         verb = command.get("cmd")
         if verb == "metrics":
             return self.service.metrics_text().encode()
-        if verb == "health":
-            payload = self.service.healthz()
-            payload["worker"] = self.slot
-            payload["pid"] = os.getpid()
-            return json.dumps(payload).encode()
-        if verb == "resolve":
-            try:
-                record = self.service.registry.record(
-                    command.get("name"), command.get("version"))
-                payload = record.describe()
-                payload["worker"] = self.slot
-            except KeyError as error:
-                payload = {"error": str(error), "worker": self.slot}
-            return json.dumps(payload).encode()
         if verb == "session_put":
             # A peer replicating a session blob to us for durability.
             try:
@@ -231,8 +217,8 @@ def _build_pool_session_store(pool_dir: str, slot: int, workers: int):
     stream.  Both directions are best-effort: a dead peer fails the
     scrape, and the client's retry loop covers the respawn window.  A
     replication the peer does not acknowledge with ``{"ok": true}`` —
-    peer down, blob past the side channel's read cap, or a stale copy
-    the peer's :meth:`SessionStore.adopt` refused — is counted in
+    peer down or respawning, or a stale copy the peer's
+    :meth:`SessionStore.adopt` refused — is counted in
     ``repro_session_replication_failures_total``.
     """
     from ..streaming.session import SessionStore, rendezvous_slot

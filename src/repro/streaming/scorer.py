@@ -191,7 +191,9 @@ class StreamScorer:
     :class:`~repro.adaptation.AdaptationController` or anything with its
     ``observe(panel, result)`` method) sees every resolved window along
     with the panel that produced it — the hook the drift-triggered
-    canary retraining loop hangs off.
+    canary retraining loop hangs off (:func:`repro.adaptation.adapt_stream`
+    drives it).  A session snapshot does not carry adapter state, so
+    *adapter* and *session* are mutually exclusive (``ValueError``).
 
     An optional *session* (a
     :class:`~repro.streaming.session.StreamSession`) makes the stream
@@ -225,6 +227,9 @@ class StreamScorer:
             raise ValueError(f"window must be >= 1; got {window}")
         if hop is not None and hop < 1:
             raise ValueError(f"hop must be >= 1; got {hop}")
+        if adapter is not None and session is not None:
+            raise ValueError("a session does not carry adapter state; "
+                             "pass adapter= or session=, not both")
         self.service = service
         self.version = version
         self.window = int(window)
@@ -506,10 +511,6 @@ class StreamScorer:
                                   proba=proba,
                                   samples=None if head.ctx is None
                                   else head.ctx["samples"])
-            # Observe *before* the snapshot lands in the session, so a
-            # resume at this window's token restores an adapter that
-            # has already seen it — replayed windows are served from
-            # the line cache and never re-observed.
             if self.adapter is not None:
                 self.adapter.observe(head.panel, result)
             if self.session is not None and head.ctx is not None:
@@ -520,7 +521,7 @@ class StreamScorer:
         """One window's full codec snapshot: feed-time ring state from
         the pending entry plus the monitor state as of this resolution."""
         ctx = head.ctx
-        state = {
+        return {
             "codec": CODEC_VERSION,
             "token": head.index + 1,
             "model": {"name": self.record.name,
@@ -533,9 +534,6 @@ class StreamScorer:
                          "last_t": ctx["last_t"], "gaps": ctx["gaps"],
                          "shifts": self._shifts},
         }
-        if self.adapter is not None and hasattr(self.adapter, "snapshot"):
-            state["adapter"] = self.adapter.snapshot()
-        return state
 
     def _restore(self, state: dict) -> None:
         """Adopt a codec snapshot: ring, monitor, counters — the stream
@@ -560,7 +558,3 @@ class StreamScorer:
             else int(counters["last_t"])
         self._gaps = int(counters["gaps"])
         self._shifts = int(counters["shifts"])
-        adapter_state = state.get("adapter")
-        if adapter_state is not None and self.adapter is not None \
-                and hasattr(self.adapter, "restore"):
-            self.adapter.restore(adapter_state)

@@ -2,17 +2,16 @@
 
 A stream normally lives exactly one HTTP request: when the TCP
 connection drops, the worker dies, or the client machine reboots, the
-scorer's windower ring, the drift monitor's EWMAs and the adaptation
-buffer all evaporate — the next connection starts a cold stream and the
-drift baseline re-warms from nothing.  A :class:`StreamSession` makes
-the scorer state *portable*: after every resolved window the scorer
-deposits a versioned, JSON-ready snapshot (the **codec**) and bumps a
-monotonic **resume token** (the number of windows the session has
-emitted).  A client that reconnects with its last token gets the
-windows it missed replayed verbatim from a bounded cache and the stream
-continues from the exact ring/EWMA state it left — *replay nothing*
-(no window is ever re-scored) *and lose nothing* (no window is ever
-skipped).
+scorer's windower ring and the drift monitor's EWMAs evaporate — the
+next connection starts a cold stream and the drift baseline re-warms
+from nothing.  A :class:`StreamSession` makes the scorer state
+*portable*: after every resolved window the scorer deposits a
+versioned, JSON-ready snapshot (the **codec**) and bumps a monotonic
+**resume token** (the number of windows the session has emitted).  A
+client that reconnects with its last token gets the windows it missed
+replayed verbatim from a bounded cache and the stream continues from
+the exact ring/EWMA state it left — *replay nothing* (no window is
+ever re-scored) *and lose nothing* (no window is ever skipped).
 
 The codec is deliberately plain data — scalars as JSON numbers (CPython
 round-trips ``float`` through ``repr`` bit-exactly) and arrays as

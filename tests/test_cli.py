@@ -247,22 +247,42 @@ def test_serve_end_to_end(tmp_path):
         thread.join(timeout=10)
 
 
-def test_adapt_end_to_end_promotes(tmp_path, capsys):
+#: the adaptation-smoke arguments: a shifted synthetic stream whose
+#: drift retrains, canaries and promotes within 150 series
+ADAPT_ARGS = ["adapt", "RacketSports-rocket", "--synthetic-like",
+              "RacketSports", "--series", "150", "--shift-at", "2000",
+              "--collect-windows", "30", "--shadow-windows", "16"]
+
+
+@pytest.fixture(scope="module")
+def stable_registry(tmp_path_factory):
+    """One RacketSports model tagged ``stable``; adapt runs on copies."""
+    registry = tmp_path_factory.mktemp("stable") / "registry"
+    assert main(["train", "RacketSports", "--registry", str(registry),
+                 "--kernels", "150", "--tag", "stable"]) == 0
+    return registry
+
+
+def _adapt(stable_registry, registry, capsys, *extra):
+    """Run ``repro adapt`` on *registry*, a fresh copy of the trained
+    one; returns ``(exit code, stdout)``."""
+    import shutil
+
+    shutil.copytree(stable_registry, registry)
+    capsys.readouterr()
+    code = main([*ADAPT_ARGS, "--registry", str(registry), *extra])
+    return code, capsys.readouterr().out
+
+
+def test_adapt_end_to_end_promotes(stable_registry, tmp_path, capsys):
     """`repro adapt` on a shifted synthetic stream: the decision line and
     the summary record a published canary and its promotion."""
     import json
 
     registry = tmp_path / "registry"
-    assert main(["train", "RacketSports", "--registry", str(registry),
-                 "--kernels", "150", "--tag", "stable"]) == 0
-    capsys.readouterr()
     journal_path = tmp_path / "audit.jsonl"
-    code = main(["adapt", "RacketSports-rocket", "--registry", str(registry),
-                 "--synthetic-like", "RacketSports", "--series", "150",
-                 "--shift-at", "2000", "--collect-windows", "30",
-                 "--shadow-windows", "16", "--quiet",
-                 "--audit-journal", str(journal_path)])
-    out = capsys.readouterr().out
+    code, out = _adapt(stable_registry, registry, capsys, "--quiet",
+                       "--audit-journal", str(journal_path))
     assert code == 0
     lines = [json.loads(line) for line in out.splitlines()]
     decisions = [line for line in lines if line["kind"] == "decision"]
@@ -274,13 +294,13 @@ def test_adapt_end_to_end_promotes(tmp_path, capsys):
     assert summary["retrainings"] == 1 and summary["promotions"] == 1
     assert summary["serving_version"] == 2  # the stream switched models
     # The promotion reached the stream as an in-place swap (one swap
-    # line, after the decision), and no window was double-scored or
+    # line, right after the decision, at the window after the one whose
+    # shadow comparison decided), and no window was double-scored or
     # skipped across it: the summary counts exactly one tumbling window
     # per streamed series.
     swaps = [line for line in lines if line["kind"] == "swap"]
     assert len(swaps) == 1 and swaps[0]["version"] == 2
-    assert lines.index(swaps[0]) > lines.index(decisions[0])
-    assert 0 < swaps[0]["window"] <= summary["windows"]
+    assert lines.index(swaps[0]) == lines.index(decisions[0]) + 1
     assert summary["windows"] == 150  # one per series, none lost or repeated
 
     from repro.serving import ModelRegistry
@@ -292,14 +312,38 @@ def test_adapt_end_to_end_promotes(tmp_path, capsys):
     # printed live, and `repro audit` accepts it as schema-valid.
     from repro.observability import read_journal, replay_decisions
 
-    replay = replay_decisions(read_journal(journal_path))
+    events = read_journal(journal_path)
+    replay = replay_decisions(events)
     assert replay["promotions"] == 1 and replay["retrainings"] == 1
     assert replay["decisions"] == decisions
+    promotion, = (event for event in events if event["kind"] == "promotion")
+    assert swaps[0]["window"] \
+        == promotion["evidence"]["shadow_indices"][-1] + 1
     capsys.readouterr()
     assert main(["audit", str(journal_path)]) == 0
     audit_out = capsys.readouterr().out
     assert "promotions=1" in audit_out
     assert json.loads(audit_out.strip().splitlines()[-1]) == decisions[0]
+
+
+def test_adapt_output_is_byte_identical(stable_registry, tmp_path, capsys):
+    """Two runs of one `repro adapt` on two copies of one registry print
+    the same bytes, window lines included: each window resolves at the
+    sample that completes it, so the swap lands right after the window
+    whose observation decided, never wherever the batcher happened to
+    be."""
+    import json
+
+    first_code, first = _adapt(stable_registry, tmp_path / "a", capsys)
+    second_code, second = _adapt(stable_registry, tmp_path / "b", capsys)
+    assert first_code == second_code == 0
+    assert first == second
+    lines = [json.loads(line) for line in first.splitlines()]
+    kinds = [line["kind"] for line in lines]
+    decided = kinds.index("decision")
+    assert kinds[decided - 1] == "window" and kinds[decided + 1] == "swap"
+    assert lines[decided + 1]["window"] == lines[decided - 1]["index"] + 1
+    assert kinds.count("window") == lines[-1]["windows"] == 150
 
 
 def test_adapt_unknown_model_is_user_error(tmp_path, capsys):

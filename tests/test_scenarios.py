@@ -330,6 +330,18 @@ class TestScenarioSmoke:
             f"false_flags={report.false_flags} "
             f"final_accuracy={report.final_accuracy}")
 
+    def test_every_due_late_label_is_counted(self):
+        """Each window's truth comes due ``label_delay`` windows later,
+        and every due label is delivered or counted as dropped — also
+        those whose window a promotion cleared from the replay buffer."""
+        from repro.experiments import run_scenario
+
+        scenario = make_world("late-labels", seed=0)
+        report = run_scenario(scenario, seed=0)
+        assert report.promotions >= 1
+        assert report.late_labels_delivered + report.late_labels_dropped \
+            == report.windows - scenario.label_delay
+
     def test_drift_world_detects_and_promotes(self):
         from repro.experiments import run_scenario
 

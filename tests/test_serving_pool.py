@@ -6,6 +6,7 @@ import http.client
 import json
 import os
 import signal
+import socket
 import threading
 import time
 
@@ -22,7 +23,7 @@ from repro.serving import (
     parse_exposition,
     prepare_panel,
 )
-from repro.serving.pool import _scrape
+from repro.serving.pool import _build_pool_session_store, _scrape
 from repro.streaming import stream_windows
 
 from conftest import keep_alive_p50_ms
@@ -87,11 +88,15 @@ def _request(port, method, path, body=None, timeout=15.0):
 def _predict(port, series, retries=3):
     """Predict with bounded retry on connection-level failures — the
     client policy the respawn-under-load guarantee is stated for."""
+    return _predict_body(port, {"series": series}, retries)
+
+
+def _predict_body(port, body, retries=3):
+    """:func:`_predict` with a full request body (a pinned version)."""
     last = None
     for _ in range(retries):
         try:
-            return _request(port, "POST", "/v1/models/demo/predict",
-                            {"series": series})
+            return _request(port, "POST", "/v1/models/demo/predict", body)
         except OSError as error:
             last = error
             time.sleep(0.05)
@@ -157,33 +162,22 @@ class TestPoolServing:
                                                trained):
         """A cross-process tag move (canary promotion) is visible to every
         worker on its next resolution — no pool plumbing, no restart."""
-        model, _X = trained
+        model, X = trained
+        body = {"series": X[0].tolist(), "version": "prod"}
         registry.publish(model, "demo", metadata={"note": "canary"})
-        for slot in (0, 1):
-            sock = os.path.join(pool.pool_dir, f"worker-{slot}.sock")
-            answer = json.loads(_scrape(sock, {
-                "cmd": "resolve", "name": "demo", "version": "prod"}))
-            assert answer["version"] == 1, "prod still points at v1"
+        status, data, _ = _predict_body(pool.port, body)
+        assert status == 200 and data["version"] == 1, \
+            "prod still points at v1"
         registry.tag("demo", 2, "prod")  # the promotion
         deadline = time.monotonic() + 2.0
-        resolved = {}
-        while time.monotonic() < deadline and set(resolved) != {0, 1}:
-            for slot in (0, 1):
-                sock = os.path.join(pool.pool_dir, f"worker-{slot}.sock")
-                answer = json.loads(_scrape(sock, {
-                    "cmd": "resolve", "name": "demo", "version": "prod"}))
-                if answer.get("version") == 2:
-                    resolved[slot] = answer
-        assert set(resolved) == {0, 1}, \
-            f"promotion not visible on all workers: {resolved}"
-        # And the served path agrees: a prod-pinned predict runs v2.
-        _model, X = trained
-        status, data, _ = _request(pool.port, "POST",
-                                   "/v1/models/demo/predict",
-                                   {"series": X[0].tolist(),
-                                    "version": "prod"})
-        assert status == 200
-        assert data["version"] == 2
+        promoted = set()
+        while time.monotonic() < deadline and promoted != {"0", "1"}:
+            status, data, worker = _predict_body(pool.port, body)
+            assert status == 200
+            if data["version"] == 2:
+                promoted.add(worker)
+        assert promoted == {"0", "1"}, \
+            f"promotion not visible on all workers: {promoted}"
 
 
 class TestRespawnUnderLoad:
@@ -369,8 +363,8 @@ class TestMergeExpositions:
 
 @pytest.fixture(scope="module")
 def wide_registry(tmp_path_factory):
-    """8-channel models at window 1024 — its session blob outgrows the
-    side channel's 64 KiB read cap — and at window 32, well inside it."""
+    """8-channel models at window 1024 — a session blob past 64 KiB —
+    and at window 32, well inside it."""
     registry = ModelRegistry(tmp_path_factory.mktemp("wide"))
     for window in (32, 1024):
         X, y = MTSGenerator(n_channels=8, length=window, n_classes=2,
@@ -383,27 +377,45 @@ def wide_registry(tmp_path_factory):
     return registry
 
 
-class TestSessionReplicationFailures:
-    @pytest.mark.parametrize("window, lost", [(1024, True), (32, False)])
-    def test_unacknowledged_replication_is_counted(self, wide_registry,
-                                                   window, lost):
-        """A session blob the peer cannot read is a durability loss the
-        pool must count; a blob that lands leaves the counter at zero."""
+class TestSessionReplication:
+    @pytest.mark.parametrize("window", [1024, 32])
+    def test_session_blob_reaches_its_peer(self, wide_registry, window):
+        """Every snapshot of a session stream lands on its peer, however
+        wide: no replication failure, and after the stream the peer
+        holds the blob at the final token."""
         rng = np.random.default_rng(window)
         samples = [(rng.standard_normal(8), 0) for _ in range(2 * window)]
+        session = f"wide-{window}"
         with ServingPool(wide_registry.root, workers=2, port=0,
                          drain_timeout=2.0) as pool:
             events = list(stream_windows(
                 "127.0.0.1", pool.port, f"w{window}", iter(samples),
-                window=window, session=f"wide-{window}"))
+                window=window, session=session))
             assert [e["kind"] for e in events].count("window") == 2
             assert events[-1]["kind"] == "summary"
             _, text, _ = _request(pool.port, "GET", "/metrics")
-        snapshots = _metric_value(text, "repro_session_snapshots_total")
-        failures = _metric_value(
-            text, "repro_session_replication_failures_total")
-        assert snapshots >= 1  # every snapshot replicates to the peer
-        if lost:
-            assert failures >= 1
-        else:
-            assert failures == 0
+            # The owner retired the session at the clean end; the peer
+            # still holds the replicated copy and hands it over.
+            blobs = [json.loads(_scrape(
+                os.path.join(pool.pool_dir, f"worker-{slot}.sock"),
+                {"cmd": "session_take", "id": session, "token": 2}))["blob"]
+                for slot in (0, 1)]
+        # one snapshot per resolved batch, each replicated to the peer
+        assert _metric_value(text, "repro_session_snapshots_total") >= 1
+        assert _metric_value(
+            text, "repro_session_replication_failures_total") == 0
+        held = [blob for blob in blobs if blob is not None]
+        assert len(held) == 1 and held[0]["token"] == 2
+        put = json.dumps({"cmd": "session_put", "blob": held[0]})
+        assert (len(put) > 65536) == (window == 1024)
+
+    def test_unacknowledged_replication_is_counted(self, tmp_path):
+        """A replication the peer does not acknowledge — here its socket
+        exists but is not listening — is a durability loss the store
+        counts."""
+        store = _build_pool_session_store(str(tmp_path), slot=0, workers=2)
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as peer:
+            peer.bind(str(tmp_path / "worker-1.sock"))
+            store.save(store.open("orphan"))
+        assert store.snapshots.value == 1
+        assert store.replication_failures.value == 1

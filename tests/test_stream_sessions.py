@@ -40,6 +40,8 @@ from repro.streaming import stream_session, stream_windows
 
 WINDOW = 32
 HOP = 16
+WIDE_WINDOW = 1024
+WIDE_HOP = 256
 
 
 # --------------------------------------------------------------------- #
@@ -182,6 +184,22 @@ def samples(panel):
 
 
 @pytest.fixture(scope="module")
+def wide_samples(registry):
+    """Publish "wide", an 8-channel model at window 1024 (its windower
+    ring alone is ~87 KB of base64 in every session blob), and return
+    21 windows of samples for it."""
+    X, y = make_classification_panel(n_series=12, n_channels=8,
+                                     length=WIDE_WINDOW, n_classes=2,
+                                     difficulty=0.15, seed=3)
+    model = RocketClassifier(num_kernels=10, seed=0).fit(prepare_panel(X), y)
+    registry.publish(model, "wide", metadata=model_metadata(
+        model, dataset="synthetic", preprocessing="znormalize+impute"))
+    rng = np.random.default_rng(5)
+    return [(rng.standard_normal(8), 0)
+            for _ in range(WIDE_WINDOW + 20 * WIDE_HOP)]
+
+
+@pytest.fixture(scope="module")
 def server(registry):
     server = create_server(registry, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -192,10 +210,10 @@ def server(registry):
     thread.join(timeout=10)
 
 
-def _baseline(port, name, samples, **kw):
+def _baseline(port, name, samples, window=WINDOW, hop=HOP, **kw):
     """The uninterrupted run every fault variant is compared against."""
     return [e for e in stream_windows("127.0.0.1", port, name, iter(samples),
-                                      window=WINDOW, hop=HOP, proba=True,
+                                      window=window, hop=hop, proba=True,
                                       **kw)
             if e["kind"] == "window"]
 
@@ -205,9 +223,10 @@ def _strip(event):
     return {k: v for k, v in event.items() if k not in ("token", "samples")}
 
 
-def _throttled(samples, delay=0.002):
-    for sample in samples:
-        time.sleep(delay)
+def _throttled(samples, delay=0.002, every=1):
+    for i, sample in enumerate(samples):
+        if i % every == 0:
+            time.sleep(delay)
         yield sample
 
 
@@ -287,32 +306,47 @@ class TestTcpDrops:
         _assert_parity(got, baseline)
 
 
+def _sigkill_run(registry, name, samples, kill_after, *, window=WINDOW,
+                 hop=HOP, **throttle):
+    """Session stream on a 2-worker pool whose worker is SIGKILLed after
+    *kill_after* windows; *throttle* paces the sender (``_throttled``)."""
+    with ServingPool(registry, workers=2, drain_timeout=2.0) as pool:
+        baseline = _baseline(pool.port, name, samples, window, hop)
+        got, workers_seen, killed = [], [], False
+        for event in stream_session("127.0.0.1", pool.port, name,
+                                    _throttled(samples, **throttle),
+                                    window=window, hop=hop, proba=True,
+                                    retry_delay=0.2):
+            if event["kind"] == "session":
+                workers_seen.append(event.get("worker"))
+            elif event["kind"] == "window":
+                got.append(event)
+                if len(got) == kill_after and not killed:
+                    killed = True
+                    os.kill(pool.worker_pids()[workers_seen[-1]],
+                            signal.SIGKILL)
+        assert killed
+        _assert_parity(got, baseline)
+        # The resume genuinely moved: more than one attach, and the
+        # stream did not stay pinned to the dead slot throughout.
+        assert len(workers_seen) >= 2
+        assert len(set(workers_seen)) == 2, workers_seen
+
+
 class TestPoolWorkerDeath:
     def test_sigkill_worker_resumes_on_peer(self, registry, samples):
         """SIGKILL the worker holding the stream: the client's resume
         lands on a peer, which fetches the replicated session blob over
         the side channel and continues bit-identically."""
-        with ServingPool(registry, workers=2, drain_timeout=2.0) as pool:
-            baseline = _baseline(pool.port, "demo", samples)
-            got, workers_seen, killed = [], [], False
-            for event in stream_session("127.0.0.1", pool.port, "demo",
-                                        _throttled(samples), window=WINDOW,
-                                        hop=HOP, proba=True,
-                                        retry_delay=0.2):
-                if event["kind"] == "session":
-                    workers_seen.append(event.get("worker"))
-                elif event["kind"] == "window":
-                    got.append(event)
-                    if len(got) == 10 and not killed:
-                        killed = True
-                        os.kill(pool.worker_pids()[workers_seen[-1]],
-                                signal.SIGKILL)
-            assert killed
-            _assert_parity(got, baseline)
-            # The resume genuinely moved: more than one attach, and the
-            # stream did not stay pinned to the dead slot throughout.
-            assert len(workers_seen) >= 2
-            assert len(set(workers_seen)) == 2, workers_seen
+        _sigkill_run(registry, "demo", samples, kill_after=10)
+
+    def test_sigkill_wide_session_resumes_on_peer(self, registry,
+                                                  wide_samples):
+        """A window-1024 x 8-channel session, whose blob is past 64 KiB,
+        survives its worker's death just the same."""
+        _sigkill_run(registry, "wide", wide_samples, kill_after=5,
+                     window=WIDE_WINDOW, hop=WIDE_HOP, delay=0.005,
+                     every=64)
 
 
 class TestPromotionMidStream:

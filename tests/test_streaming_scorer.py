@@ -14,7 +14,13 @@ from repro.serving import (
     model_metadata,
     prepare_panel,
 )
-from repro.streaming import DriftMonitor, ReplaySource, StreamScorer, expected_windows
+from repro.streaming import (
+    DriftMonitor,
+    ReplaySource,
+    StreamScorer,
+    StreamSession,
+    expected_windows,
+)
 
 WINDOW = 32
 
@@ -101,6 +107,13 @@ class TestStreamScorer:
         with pytest.raises(ServingError) as excinfo:
             StreamScorer(service, "nope", window=WINDOW)
         assert excinfo.value.status == 404
+
+    def test_adapter_with_session_is_refused(self, service):
+        """A session snapshot carries no adapter state, so a resumed
+        stream would come back with an empty adapter: refused up front."""
+        with pytest.raises(ValueError, match="adapter"):
+            StreamScorer(service, "demo", window=WINDOW, adapter=object(),
+                         session=StreamSession("s"))
 
     def test_feed_after_close_rejected(self, service, problem):
         scorer = StreamScorer(service, "demo", window=WINDOW)
