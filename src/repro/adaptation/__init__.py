@@ -11,7 +11,7 @@ and flags concept shifts; this package closes the loop:
   the model family off-thread, publishes the result to the versioned
   registry under a ``canary`` tag, shadow-scores the canary on live
   windows alongside the stable version, and promotes (moves the
-  ``stable`` tag) or rolls back on a shadow-agreement/accuracy
+  ``stable`` tag) or rolls back on a shadow accuracy/confidence
   criterion.
 
 Hook a controller into a :class:`~repro.streaming.StreamScorer` via its

@@ -29,8 +29,8 @@ models — this module connects the two so a confirmed shift heals itself:
    With ground truth in the stream the criterion is accuracy (the
    canary must be at least as accurate); without, mean top-1 confidence
    (the retrained model must be more sure of the post-shift data than
-   the stale one); with neither — a model that serves no probabilities
-   on an unlabelled stream — raw shadow agreement is the last resort.
+   the stale one).  The shadow agreement ratio is reported alongside,
+   but never decides.
 
 Self-training caveat: with no truth labels the buffer learns the stable
 model's *beliefs*, so a retrain recovers confidence on drifted inputs
@@ -122,13 +122,13 @@ class AdaptationDecision:
     action: str  # "promote" | "rollback"
     canary_version: int
     stable_version: int
-    criterion: str  # "accuracy" | "confidence" | "agreement"
+    criterion: str  # "accuracy" | "confidence"
     agreement: float  # fraction of shadow windows where the models agreed
     shadow_windows: int  # comparisons the decision is based on
     trigger_signal: str | None  # drift signal that started the retrain
     stable_accuracy: float | None = None  # None without truth labels
     canary_accuracy: float | None = None
-    stable_confidence: float | None = None  # None without probabilities
+    stable_confidence: float | None = None
     canary_confidence: float | None = None
     #: stream indices of the compared windows (tests recompute parity
     #: from these; oldest first)
@@ -165,7 +165,6 @@ class _ShadowTally:
         self.canary_correct = 0
         self.stable_confidence_sum = 0.0
         self.canary_confidence_sum = 0.0
-        self.confidences = 0
         self.indices: list[int] = []
 
 
@@ -210,9 +209,6 @@ class AdaptationController:
         one per window, which is what keeps the shadow phase's
         per-window overhead low.  Comparisons lag live scoring by at
         most this many windows.
-    agreement_threshold:
-        Promotion bar for the last-resort agreement criterion (no
-        truth, no probabilities).
     cooldown_windows:
         Observed windows after a decision (or a failed retrain) during
         which new drift flags are ignored — the monitor's EWMAs need
@@ -237,8 +233,7 @@ class AdaptationController:
     def __init__(self, service, name: str, *, version=None, trainer=None,
                  registry=None, buffer_capacity: int = 256,
                  collect_windows: int = 48, shadow_windows: int = 24,
-                 shadow_batch: int = 8, agreement_threshold: float = 0.8,
-                 cooldown_windows: int = 50,
+                 shadow_batch: int = 8, cooldown_windows: int = 50,
                  canary_tag: str = "canary", promote_tag: str = "stable",
                  background: bool = True, queue_timeout: float = 5.0,
                  journal=None):
@@ -254,10 +249,6 @@ class AdaptationController:
         if shadow_windows < 1:
             raise ValueError(
                 f"shadow_windows must be >= 1; got {shadow_windows}")
-        if not 0.0 < agreement_threshold <= 1.0:
-            raise ValueError(
-                f"agreement_threshold must be in (0, 1]; "
-                f"got {agreement_threshold}")
         if cooldown_windows < 0:
             raise ValueError(
                 f"cooldown_windows must be >= 0; got {cooldown_windows}")
@@ -270,7 +261,6 @@ class AdaptationController:
         self.collect_windows = int(collect_windows)
         self.shadow_windows = int(shadow_windows)
         self.shadow_batch = int(shadow_batch)
-        self.agreement_threshold = float(agreement_threshold)
         self.cooldown_windows = int(cooldown_windows)
         self.canary_tag = str(canary_tag)
         self.promote_tag = str(promote_tag)
@@ -288,7 +278,6 @@ class AdaptationController:
         self._collected = 0
         self._trigger_signal: str | None = None
         self._canary = None  # ModelRecord once published
-        self._canary_proba = False
         self._tally: _ShadowTally | None = None
         self._pending: deque = deque()  # (future, stable WindowResult)
         self._backlog: list = []  # (panel, result) awaiting one submit_many
@@ -456,8 +445,6 @@ class AdaptationController:
                 record = self.registry.publish(model, self.name,
                                                metadata=metadata,
                                                tags=(self.canary_tag,))
-            canary_proba = bool(self.service.serves_proba(self.name,
-                                                          record.version))
         except Exception as error:  # noqa: BLE001 - the stream must survive
             self.errors.append(f"{type(error).__name__}: {error}")
             with self._lock:
@@ -483,7 +470,6 @@ class AdaptationController:
             )
         with self._lock:
             self._canary = record
-            self._canary_proba = canary_proba
             self._tally = _ShadowTally()
             self._pending.clear()
             self._backlog.clear()
@@ -540,7 +526,6 @@ class AdaptationController:
             _, futures = self.service.submit(
                 self.name, [panel for panel, _ in backlog], canary.version,
                 queue_timeout=self.queue_timeout,
-                return_proba=self._canary_proba,
             )
         except ServingError:
             with self._lock:
@@ -568,11 +553,8 @@ class AdaptationController:
                 with self._lock:
                     self._dropped_shadows += 1
                 continue
-            if self._canary_proba:
-                canary_label = outcome.label
-                canary_confidence = float(np.asarray(outcome.proba).max())
-            else:
-                canary_label, canary_confidence = outcome, None
+            canary_label = outcome.label
+            canary_confidence = float(outcome.proba.max())
             agreed = canary_label == stable_result.label
             self.stats.record_shadow(agreed=agreed)
             if self.journal is not None:
@@ -598,11 +580,8 @@ class AdaptationController:
                         int(stable_result.label == stable_result.truth)
                     tally.canary_correct += \
                         int(canary_label == stable_result.truth)
-                if canary_confidence is not None \
-                        and stable_result.confidence is not None:
-                    tally.confidences += 1
-                    tally.canary_confidence_sum += canary_confidence
-                    tally.stable_confidence_sum += stable_result.confidence
+                tally.canary_confidence_sum += canary_confidence
+                tally.stable_confidence_sum += stable_result.confidence
 
     def _maybe_decide(self) -> None:
         """Finish the shadow phase once the comparison quorum is in."""
@@ -625,22 +604,18 @@ class AdaptationController:
     def _decide(self, tally: _ShadowTally) -> None:
         """Promote or roll back the canary from a complete tally."""
         agreement = tally.agreements / tally.windows
-        stable_acc = canary_acc = stable_conf = canary_conf = None
+        stable_acc = canary_acc = None
         if tally.truths:
             stable_acc = tally.stable_correct / tally.truths
             canary_acc = tally.canary_correct / tally.truths
-        if tally.confidences:
-            stable_conf = tally.stable_confidence_sum / tally.confidences
-            canary_conf = tally.canary_confidence_sum / tally.confidences
+        stable_conf = tally.stable_confidence_sum / tally.windows
+        canary_conf = tally.canary_confidence_sum / tally.windows
         if tally.truths >= max(1, self.shadow_windows // 2):
             promote = canary_acc >= stable_acc
             criterion = "accuracy"
-        elif tally.confidences > 0:
+        else:
             promote = canary_conf > stable_conf
             criterion = "confidence"
-        else:
-            promote = agreement >= self.agreement_threshold
-            criterion = "agreement"
         decision = AdaptationDecision(
             action="promote" if promote else "rollback",
             canary_version=self._canary.version,
@@ -673,7 +648,8 @@ class AdaptationController:
                     "shadow_windows": tally.windows,
                     "agreements": tally.agreements,
                     "truths": tally.truths,
-                    "confidences": tally.confidences,
+                    # every shadow window compares confidences
+                    "confidences": tally.windows,
                     "dropped_shadows": self._dropped_shadows,
                     "shadow_indices": [int(i) for i in tally.indices],
                 },

@@ -65,10 +65,8 @@ def _predict_under(model, X, policy: ComputePolicy):
     model running under the candidate policy before it passes.
     """
     candidate = apply_inference_policy(copy.deepcopy(model), policy)
-    labels = np.asarray(candidate.predict(X))
-    proba_fn = getattr(candidate, "predict_proba", None)
-    probas = np.asarray(proba_fn(X)) if proba_fn is not None else None
-    return labels, probas
+    return (np.asarray(candidate.predict(X)),
+            np.asarray(candidate.predict_proba(X)))
 
 
 def parity_report(model, X, policy: ComputePolicy,
@@ -76,19 +74,14 @@ def parity_report(model, X, policy: ComputePolicy,
     """Compare *model* under *policy* against it under *reference* on *X*.
 
     Labels are compared exactly (the contract is bit-identical argmax);
-    probabilities by max absolute difference.  Families without
-    ``predict_proba`` report a zero probability diff — labels are the
-    whole contract there.
+    probabilities by max absolute difference.
     """
     X = np.asarray(X, dtype=np.float64)
     ref_labels, ref_probas = _predict_under(model, X, reference)
     cand_labels, cand_probas = _predict_under(model, X, policy)
     labels_equal = bool(np.array_equal(ref_labels, cand_labels))
-    if ref_probas is None or cand_probas is None:
-        max_diff = 0.0
-    else:
-        max_diff = float(np.max(np.abs(
-            ref_probas.astype(np.float64) - cand_probas.astype(np.float64))))
+    max_diff = float(np.max(np.abs(
+        ref_probas.astype(np.float64) - cand_probas.astype(np.float64))))
     return ParityReport(labels_equal=labels_equal, max_proba_diff=max_diff,
                         n_samples=int(X.shape[0]), policy=policy,
                         reference=reference)

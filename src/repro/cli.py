@@ -134,8 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cap on a batch's wait for stragglers, taken "
                             "only while requests arrive faster than batches "
                             "finish")
-    serve.add_argument("--batch-workers", type=int, default=1,
-                       help="batch-assembling threads per model")
     serve.add_argument("--max-queue", type=int, default=1024,
                        help="bounded per-model request queue; overflow is "
                             "answered 429 (0 = unbounded)")
@@ -210,15 +208,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "predictions; promotion uses the confidence "
                             "criterion)")
     adapt.add_argument("--drift-threshold", type=float, default=0.35,
-                       help="accuracy-drop / label-mix flag threshold")
+                       help="accuracy-drop flag threshold")
     adapt.add_argument("--confidence-threshold", type=float, default=0.08,
                        help="confidence-drop flag threshold (unlabelled "
-                            "streams with probability-serving models)")
+                            "streams)")
     adapt.add_argument("--warmup", type=int, default=10,
                        help="windows before the monitor may flag")
     adapt.add_argument("--persistence", type=int, default=5,
-                       help="consecutive exceedances the confidence and "
-                            "label-mix signals need")
+                       help="consecutive exceedances the confidence "
+                            "signal needs")
     adapt.add_argument("--collect-windows", type=int, default=48,
                        help="post-flag windows gathered before retraining")
     adapt.add_argument("--shadow-windows", type=int, default=24,
@@ -861,8 +859,7 @@ def _cmd_serve(args) -> int:
         policy = ComputePolicy(dtype=args.infer_dtype)
     knobs = dict(host=args.host, port=args.port, max_batch=args.max_batch,
                  max_latency=args.max_latency_ms / 1000.0,
-                 batch_workers=args.batch_workers, quiet=not args.verbose,
-                 max_queue=args.max_queue,
+                 quiet=not args.verbose, max_queue=args.max_queue,
                  max_loaded_models=args.max_loaded_models,
                  max_body_bytes=args.max_body_bytes,
                  access_log=args.access_log, compute_policy=policy)

@@ -23,13 +23,14 @@ The CLI front-ends are ``repro train``, ``repro predict`` and
 scenario on top of this stack (``repro stream``, NDJSON endpoint).
 """
 
-from .batcher import BatcherStats, MicroBatcher, Prediction, QueueFullError
+from .batcher import BatcherStats, MicroBatcher, QueueFullError
 from .metrics import Histogram, MetricFamily, merge_expositions, parse_exposition
 from .pool import ServingPool
 from .registry import ModelRecord, ModelRegistry, model_metadata, validate_reference
 from .server import (
     PROTOCOL_PREPROCESSING,
     AdaptationStats,
+    Prediction,
     PredictionServer,
     PredictionService,
     ServingError,

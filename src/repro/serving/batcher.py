@@ -5,11 +5,12 @@ matmuls, thousands of PPV thresholds) that is nearly flat in batch size,
 so predicting 64 series in one panel costs little more than predicting
 one.  The :class:`MicroBatcher` exploits that the same way the experiment
 engine exploits job batching: callers submit one series at a time from
-any thread, a small worker pool drains the shared queue, coalesces up to
+any thread, one worker thread drains the shared queue, coalesces up to
 ``max_batch`` series, stacks them into one ``(n, channels, length)``
-panel, and fans the predictions back out through per-request futures.
+panel, calls its one ``predict_fn`` on it, and fans the rows of the
+result back out through per-request futures.
 
-Waiting for stragglers adapts to arrivals: a worker waits up to
+Waiting for stragglers adapts to arrivals: the worker waits up to
 ``max_latency`` seconds for more only while requests arrive faster than
 batches finish — others were already queued behind the first request,
 or the previous batch coalesced more than one.  A request that arrives
@@ -32,28 +33,14 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .metrics import BATCH_SIZE_BUCKETS, LATENCY_BUCKETS, Histogram
 
-__all__ = ["BatcherStats", "MicroBatcher", "Prediction", "QueueFullError"]
+__all__ = ["BatcherStats", "MicroBatcher", "QueueFullError"]
 
 _SHUTDOWN = object()
-
-
-class Prediction(NamedTuple):
-    """The result of a ``return_proba`` submission.
-
-    ``label`` is what a plain submission would have returned; ``proba``
-    is the model's probability vector for this series, columns in the
-    batcher's ``classes`` order.  Plain submissions keep resolving to the
-    bare label, so existing callers never see this type.
-    """
-
-    label: object
-    proba: np.ndarray
 
 
 class QueueFullError(RuntimeError):
@@ -112,7 +99,8 @@ class MicroBatcher:
     ----------
     predict_fn:
         Called with a panel ``(n, channels, length)``; must return one
-        prediction per row (any sequence of length ``n``).
+        result per row (any sequence of length ``n``).  Each submitted
+        series' future resolves to its row's result.
     input_shape:
         Optional ``(channels, length)``; when given, submissions are
         validated eagerly so a malformed request fails in the caller, not
@@ -120,15 +108,11 @@ class MicroBatcher:
     max_batch:
         Panel-size ceiling per predict call.
     max_latency:
-        Cap, in seconds, on a worker's wait for stragglers after the
+        Cap, in seconds, on the worker's wait for stragglers after the
         first request of a batch — the latency price of coalescing.  The
         wait is taken only while arrivals are dense (other requests were
         already queued, or the previous batch coalesced more than one);
         a request that arrives alone runs at once.
-    workers:
-        Batch-assembling threads.  numpy releases the GIL inside the BLAS
-        calls that dominate prediction, so a small pool overlaps compute
-        with queueing like the grid engine's worker pool does.
     max_queue:
         Backpressure bound: when this many requests are already waiting,
         ``submit`` raises :class:`QueueFullError` immediately instead of
@@ -154,46 +138,26 @@ class MicroBatcher:
         layer points this at its per-model stage histograms.
     tracer:
         Optional :class:`~repro.observability.trace.Tracer`.  Because
-        batches run on worker threads that cannot inherit the
+        batches run on the worker thread, which cannot inherit the
         submitter's contextvars, ``submit_many`` captures the caller's
         trace context (only while tracing is enabled) and carries it on
         the queue item; the worker then records ``batcher.queue`` /
         ``batcher.assemble`` / ``batcher.predict`` spans re-parented to
         the submitting request.
-    proba_fn:
-        Optional probability head: called with the same coalesced panel
-        as ``predict_fn`` and must return a row-stochastic ``(n,
-        n_classes)`` matrix.  When any request in a batch asked for
-        probabilities (``submit(..., return_proba=True)``), the batch is
-        predicted through ``proba_fn`` **once** and labels are derived as
-        ``classes[argmax]`` — one pass serves both kinds of request,
-        relying on the classifier contract that ``argmax(predict_proba)
-        == predict`` exactly.
-    classes:
-        Label values aligned with ``proba_fn``'s columns; required
-        whenever ``proba_fn`` is given.
     """
 
     def __init__(self, predict_fn, *, input_shape: tuple[int, int] | None = None,
                  max_batch: int = 64, max_latency: float = 0.005,
-                 workers: int = 1, max_queue: int = 0,
-                 admit_nan: bool = False,
+                 max_queue: int = 0, admit_nan: bool = False,
                  stats: BatcherStats | None = None,
-                 proba_fn=None, classes=None,
                  stage_observer=None, tracer=None):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1; got {max_batch}")
         if max_latency < 0:
             raise ValueError(f"max_latency must be >= 0; got {max_latency}")
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1; got {workers}")
         if max_queue < 0:
             raise ValueError(f"max_queue must be >= 0; got {max_queue}")
-        if proba_fn is not None and classes is None:
-            raise ValueError("proba_fn requires classes (its column labels)")
         self._predict_fn = predict_fn
-        self._proba_fn = proba_fn
-        self.classes = np.asarray(classes) if classes is not None else None
         self.input_shape = tuple(input_shape) if input_shape is not None else None
         self.max_batch = int(max_batch)
         self.max_latency = float(max_latency)
@@ -207,38 +171,23 @@ class MicroBatcher:
         #: serialises submits against close(), so no request can be enqueued
         #: behind the shutdown sentinel and starve
         self._submit_lock = threading.Lock()
-        #: notified whenever a worker drains items off the queue, so a
+        #: notified whenever the worker drains items off the queue, so a
         #: blocking submit (timeout > 0) can wait for space instead of polling
         self._space = threading.Condition(self._submit_lock)
-        self._workers = [
-            threading.Thread(target=self._drain, name=f"micro-batcher-{i}", daemon=True)
-            for i in range(workers)
-        ]
-        for worker in self._workers:
-            worker.start()
+        self._worker = threading.Thread(target=self._drain,
+                                        name="micro-batcher", daemon=True)
+        self._worker.start()
 
     # ------------------------------------------------------------------ #
     # client side
     # ------------------------------------------------------------------ #
 
-    @property
-    def serves_proba(self) -> bool:
-        """Whether ``return_proba`` submissions are accepted."""
-        return self._proba_fn is not None
+    def submit(self, series, *, timeout: float | None = None) -> Future:
+        """Enqueue one series ``(channels, length)``; returns its future."""
+        return self.submit_many([series], timeout=timeout)[0]
 
-    def submit(self, series, *, timeout: float | None = None,
-               return_proba: bool = False) -> Future:
-        """Enqueue one series ``(channels, length)``; returns its future.
-
-        With ``return_proba`` the future resolves to a
-        :class:`Prediction` (label + probability vector) instead of a
-        bare label; requires a ``proba_fn``.
-        """
-        return self.submit_many([series], timeout=timeout,
-                                return_proba=return_proba)[0]
-
-    def submit_many(self, series_list, *, timeout: float | None = None,
-                    return_proba: bool = False) -> list[Future]:
+    def submit_many(self, series_list, *,
+                    timeout: float | None = None) -> list[Future]:
         """Enqueue several series atomically: either every series is
         admitted or none is (``QueueFullError``), so an over-quota
         multi-series request never leaves orphaned work behind its 429 —
@@ -251,23 +200,14 @@ class MicroBatcher:
         backlog makes overflow fail fast.
 
         With ``timeout`` (seconds) an over-quota submit *waits* for the
-        workers to make space instead of failing immediately — the
+        worker to make space instead of failing immediately — the
         backpressure mode of the streaming scorer, which has nowhere to
         bounce a 429 mid-stream.  ``QueueFullError`` is still raised when
         the queue stays full past the deadline.
-
-        With ``return_proba`` each future resolves to a
-        :class:`Prediction`; a batcher built without a ``proba_fn``
-        refuses with ``ValueError`` here, before anything is enqueued.
         """
-        if return_proba and self._proba_fn is None:
-            raise ValueError(
-                "this model does not serve probabilities "
-                "(no predict_proba / proba_fn)"
-            )
         prepared = [self._validate(series) for series in series_list]
         futures: list[Future] = [Future() for _ in prepared]
-        # Contextvars do not cross into the worker threads, so the trace
+        # Contextvars do not cross into the worker thread, so the trace
         # context rides the queue item; captured only while tracing is on
         # so the disabled path pays one attribute check.
         tracer = self._tracer
@@ -294,7 +234,7 @@ class MicroBatcher:
                 self._space.wait(remaining)
             now = time.monotonic()
             for series, future in zip(prepared, futures):
-                self._queue.put((series, future, now, return_proba, ctx))
+                self._queue.put((series, future, now, ctx))
         return futures
 
     def _validate(self, series) -> np.ndarray:
@@ -338,31 +278,25 @@ class MicroBatcher:
         return self.submit(series).result(timeout=timeout)
 
     def close(self, timeout: float | None = None) -> bool:
-        """Stop the workers after all queued requests are served.
+        """Stop the worker after all queued requests are served.
 
         With ``timeout`` (seconds), the join is bounded: a predict_fn
         stalled past the deadline leaves its daemon worker behind rather
-        than hanging the closer forever.  Returns ``True`` when every
+        than hanging the closer forever.  Returns ``True`` when the
         worker actually exited (the queue fully drained).
         """
         with self._submit_lock:
             if not self._closed:
                 self._closed = True
                 # Under the submit lock, every accepted request is already
-                # ahead of the sentinel in the FIFO queue, so the workers
-                # serve all of them before shutting down.
+                # ahead of the sentinel in the FIFO queue, so the worker
+                # serves all of them before shutting down.
                 self._queue.put(_SHUTDOWN)
                 # Submits blocked waiting for queue space must observe the
                 # close now, not at their deadline.
                 self._space.notify_all()
-        deadline = None if timeout is None else time.monotonic() + timeout
-        drained = True
-        for worker in self._workers:
-            remaining = None if deadline is None \
-                else max(0.0, deadline - time.monotonic())
-            worker.join(remaining)
-            drained = drained and not worker.is_alive()
-        return drained
+        self._worker.join(timeout)
+        return not self._worker.is_alive()
 
     def __enter__(self) -> "MicroBatcher":
         return self
@@ -381,7 +315,6 @@ class MicroBatcher:
         while True:
             item = self._queue.get()
             if item is _SHUTDOWN:
-                self._queue.put(_SHUTDOWN)  # release the next worker
                 return
             batch = [item + (time.monotonic(),)]
             stop = False
@@ -398,7 +331,6 @@ class MicroBatcher:
                     except queue.Empty:
                         break
                     if item is _SHUTDOWN:
-                        self._queue.put(_SHUTDOWN)
                         stop = True
                         break
                     batch.append(item + (time.monotonic(),))
@@ -411,17 +343,15 @@ class MicroBatcher:
                 return
 
     def _run_batch(self, batch) -> None:
-        """Predict one assembled *batch* (list of 6-tuples ``(series,
-        future, submitted, want_proba, ctx, dequeued)``) and fan out."""
+        """Predict one assembled *batch* (list of 5-tuples ``(series,
+        future, submitted, ctx, dequeued)``) and fan out."""
         self.stats._record_batch(len(batch))
         predict_start = time.monotonic()
         observer = self._stage_observer
         if observer is not None:
-            observer("assemble", predict_start - batch[0][5])
-            for _, _, submitted, _, _, dequeued in batch:
+            observer("assemble", predict_start - batch[0][4])
+            for _, _, submitted, _, dequeued in batch:
                 observer("queue_wait", dequeued - submitted)
-        want_proba = any(item[3] for item in batch)
-        probas = None
         predictions = None
         error = None
         try:
@@ -429,15 +359,7 @@ class MicroBatcher:
             # in one batch may disagree, and that must fail the requests,
             # not kill the worker thread.
             panel = np.stack([item[0] for item in batch])
-            if want_proba:
-                # One pass serves the whole mixed batch: labels derive from
-                # the probability rows (classes[argmax] == predict is part
-                # of the classifier contract), so a batch that coalesced
-                # proba and plain requests never predicts twice.
-                probas = np.asarray(self._proba_fn(panel))
-                predictions = self.classes[probas.argmax(axis=1)]
-            else:
-                predictions = self._predict_fn(panel)
+            predictions = self._predict_fn(panel)
         except Exception as err:  # noqa: BLE001 - forwarded to every caller
             error = err
         predict_end = time.monotonic()
@@ -447,14 +369,13 @@ class MicroBatcher:
         if error is not None:
             self._finish(batch, error=error)
             return
-        if len(predictions) != len(batch) or \
-                (probas is not None and probas.shape[0] != len(batch)):
+        if len(predictions) != len(batch):
             self._finish(batch, error=RuntimeError(
                 f"predict_fn returned {len(predictions)} predictions "
                 f"for a batch of {len(batch)}"
             ))
             return
-        self._finish(batch, results=predictions, probas=probas)
+        self._finish(batch, results=predictions)
 
     def _trace_batch(self, batch, predict_start: float,
                      predict_end: float, error) -> None:
@@ -469,7 +390,7 @@ class MicroBatcher:
             return
         size = len(batch)
         error_name = type(error).__name__ if error is not None else None
-        for _, _, submitted, _, ctx, dequeued in batch:
+        for _, _, submitted, ctx, dequeued in batch:
             if ctx is None:
                 continue
             tracer.record_span("batcher.queue", start=submitted,
@@ -483,14 +404,12 @@ class MicroBatcher:
             tracer.record_span("batcher.predict", start=predict_start,
                                end=predict_end, parent=ctx, **extra)
 
-    def _finish(self, batch, results=None, error=None, probas=None) -> None:
+    def _finish(self, batch, results=None, error=None) -> None:
         """Complete every future in *batch*, recording observed latency."""
         now = time.monotonic()
-        for index, (_, future, submitted, want_proba, _, _) in enumerate(batch):
+        for index, (_, future, submitted, _, _) in enumerate(batch):
             self.stats.latency.observe(now - submitted)
             if error is not None:
                 future.set_exception(error)
-            elif want_proba:
-                future.set_result(Prediction(results[index], probas[index]))
             else:
                 future.set_result(results[index])

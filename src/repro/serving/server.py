@@ -17,8 +17,11 @@ returns ``"label"`` (or ``"labels"``).
 The server is a ``ThreadingHTTPServer``: each connection gets a thread,
 and all threads funnel their series into one shared
 :class:`~repro.serving.batcher.MicroBatcher` per model version, so
-concurrent clients are answered from coalesced panels.  Models are
-loaded from the registry lazily, memoised, and — when
+concurrent clients are answered from coalesced panels.  A batcher
+scores each panel once through the model's ``predict_proba`` and every
+series' answer is a :class:`Prediction` (label plus probability vector);
+the ``proba`` request flags only decide which keys a reply carries.
+Models are loaded from the registry lazily, memoised, and — when
 ``max_loaded_models`` is set — LRU-evicted with their queued requests
 drained first.  Input series are preprocessed exactly as the training
 protocol preprocesses panels (per-series z-normalisation, then
@@ -59,6 +62,7 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from operator import attrgetter
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,7 +70,7 @@ from ..backend import INFERENCE_POLICY, ComputePolicy, apply_inference_policy
 from ..data.dataset import TimeSeriesDataset
 from ..experiments.protocol import _prepare as _protocol_prepare
 from ..observability import get_logger, get_tracer
-from .batcher import BatcherStats, MicroBatcher, Prediction, QueueFullError
+from .batcher import BatcherStats, MicroBatcher, QueueFullError
 from .metrics import (
     CONFIDENCE_BUCKETS,
     STAGE_LATENCY_BUCKETS,
@@ -78,9 +82,10 @@ from .metrics import (
 )
 from .registry import ModelRecord, ModelRegistry
 
-__all__ = ["AdaptationStats", "PredictionService", "PredictionServer",
-           "SERVICE_FAMILIES", "ServingError", "StreamStats", "build_service",
-           "create_server", "prepare_panel", "PROTOCOL_PREPROCESSING"]
+__all__ = ["AdaptationStats", "Prediction", "PredictionService",
+           "PredictionServer", "SERVICE_FAMILIES", "ServingError",
+           "StreamStats", "build_service", "create_server", "prepare_panel",
+           "PROTOCOL_PREPROCESSING"]
 
 #: metadata value written by ``repro train`` — the training-protocol
 #: preprocessing (znormalize + impute) the server must mirror
@@ -95,6 +100,37 @@ def prepare_panel(X: np.ndarray) -> np.ndarray:
     """
     dataset = TimeSeriesDataset(X, np.zeros(len(X), dtype=np.int64))
     return _protocol_prepare(dataset).X
+
+
+class Prediction(NamedTuple):
+    """One served series' answer: its label and its probability vector.
+
+    ``proba`` has one column per class in the model's ``classes_``
+    order; ``label`` is the class of its largest entry, which the
+    classifier contract makes equal to ``model.predict`` exactly.
+    """
+
+    label: object
+    proba: np.ndarray
+
+
+def _predictor(model, preprocessed: bool):
+    """The one function a loaded model is served through.
+
+    Runs ``predict_proba`` once per coalesced panel (after the training
+    protocol's preprocessing when the model was trained on it) and
+    returns one :class:`Prediction` per row.
+    """
+    classes = np.asarray(model.classes_)
+
+    def predict(panel: np.ndarray) -> list[Prediction]:
+        if preprocessed:
+            panel = prepare_panel(panel)
+        probas = np.asarray(model.predict_proba(panel))
+        return [Prediction(label, row) for label, row
+                in zip(classes[probas.argmax(axis=1)], probas)]
+
+    return predict
 
 
 class ServingError(Exception):
@@ -125,8 +161,8 @@ class StreamStats:
     active: Gauge = field(default_factory=Gauge)
     windows: Counter = field(default_factory=Counter)
     shifts: Counter = field(default_factory=Counter)
-    #: top-1 confidence per scored window (only when the model serves
-    #: probabilities) — the live distribution the drift monitor watches
+    #: top-1 confidence per scored window — the live distribution the
+    #: drift monitor watches
     confidence: Histogram = field(
         default_factory=lambda: Histogram(CONFIDENCE_BUCKETS))
 
@@ -306,7 +342,7 @@ class PredictionService:
     """
 
     def __init__(self, registry: ModelRegistry, *, max_batch: int = 64,
-                 max_latency: float = 0.005, workers: int = 1,
+                 max_latency: float = 0.005,
                  predict_timeout: float = 30.0, max_queue: int = 0,
                  max_loaded_models: int = 0, drain_timeout: float = 5.0,
                  compute_policy: ComputePolicy | None = None,
@@ -320,7 +356,6 @@ class PredictionService:
         self.logger = logger if logger is not None else get_logger("server")
         self.max_batch = max_batch
         self.max_latency = max_latency
-        self.workers = workers
         self.predict_timeout = predict_timeout
         self.max_queue = int(max_queue)
         self.max_loaded_models = int(max_loaded_models)
@@ -339,6 +374,9 @@ class PredictionService:
         #: per-version stats survive eviction/reload so /metrics counters
         #: are monotone over the process lifetime
         self._stats: dict[tuple[str, int], BatcherStats] = {}
+        #: per-version JSON-ready class list, recorded at load: the label
+        #: values a reply's probability columns refer to
+        self._classes: dict[tuple[str, int], list] = {}
         #: per-version streaming stats (same lifetime rules)
         self._streams: dict[tuple[str, int], StreamStats] = {}
         #: per-*name* adaptation stats (retraining is a lineage property)
@@ -384,13 +422,13 @@ class PredictionService:
         rather than being misread as one multivariate series.
 
         Returns ``{"model", "version", "labels"}``; labels come back in
-        request order whatever batches the series landed in.  With
-        ``return_proba`` the result additionally carries ``"probas"``
-        (one row-stochastic vector per instance), ``"confidences"`` (its
-        per-instance maximum) and ``"classes"`` (the label values the
-        probability columns refer to); a model without a probability
-        head answers 400.  Raises :class:`ServingError` 429 under
-        backpressure, 503 on shutdown.
+        request order whatever batches the series landed in.  Every
+        series is scored once, through the model's probabilities;
+        ``return_proba`` only shapes the reply, which then additionally
+        carries ``"probas"`` (one row-stochastic vector per instance),
+        ``"confidences"`` (its per-instance maximum) and ``"classes"``
+        (the label values the probability columns refer to).  Raises
+        :class:`ServingError` 429 under backpressure, 503 on shutdown.
         """
         with self._idle:
             if self._closed:
@@ -398,8 +436,7 @@ class PredictionService:
             self._active += 1
         try:
             with self.tracer.span("serve.predict", model=name) as span:
-                record, futures = self._admit(name, instances, version, None,
-                                              return_proba)
+                record, futures = self._admit(name, instances, version, None)
                 span.set("version", record.version)
                 span.set("instances", len(futures))
                 try:
@@ -412,19 +449,17 @@ class PredictionService:
                         503,
                         f"prediction timed out after {self.predict_timeout}s"
                     ) from error
-                if not return_proba:
-                    return {"model": record.name, "version": record.version,
-                            "labels": [_jsonable(label) for label in results]}
-                classes = self._classes(record)
-                return {
-                    "model": record.name, "version": record.version,
-                    "labels": [_jsonable(result.label) for result in results],
-                    "probas": [[float(p) for p in result.proba]
-                               for result in results],
-                    "confidences": [float(result.proba.max())
-                                    for result in results],
-                    "classes": classes,
-                }
+                reply = {"model": record.name, "version": record.version,
+                         "labels": [_jsonable(result.label)
+                                    for result in results]}
+                if return_proba:
+                    reply["probas"] = [[float(p) for p in result.proba]
+                                       for result in results]
+                    reply["confidences"] = [float(result.proba.max())
+                                            for result in results]
+                    reply["classes"] = \
+                        self._classes[(record.name, record.version)]
+                return reply
         finally:
             with self._idle:
                 self._active -= 1
@@ -432,8 +467,7 @@ class PredictionService:
                     self._idle.notify_all()
 
     def submit(self, name: str, instances, version=None, *,
-               queue_timeout: float | None = None,
-               return_proba: bool = False
+               queue_timeout: float | None = None
                ) -> tuple[ModelRecord, list[Future]]:
         """Admit *instances* to the model's batcher without waiting.
 
@@ -441,10 +475,8 @@ class PredictionService:
         keeps many windows in flight and collects their futures in its
         own order.  With *queue_timeout*, a full queue blocks (bounded)
         instead of answering 429 immediately — mid-stream there is no
-        client to bounce, so waiting *is* the backpressure.  With
-        ``return_proba`` each future resolves to a
-        :class:`~repro.serving.batcher.Prediction` (label + probability
-        vector) instead of a bare label.
+        client to bounce, so waiting *is* the backpressure.  Each future
+        resolves to a :class:`Prediction` (label + probability vector).
 
         Raises the same :class:`ServingError` family as :meth:`predict`.
         """
@@ -453,36 +485,15 @@ class PredictionService:
                 raise ServingError(503, "service is shutting down")
             self._active += 1
         try:
-            return self._admit(name, instances, version, queue_timeout,
-                               return_proba)
+            return self._admit(name, instances, version, queue_timeout)
         finally:
             with self._idle:
                 self._active -= 1
                 if not self._active:
                     self._idle.notify_all()
 
-    def serves_proba(self, name: str, version=None) -> bool:
-        """Whether ``name[:version]`` can answer ``return_proba`` requests.
-
-        Resolving loads the model (memoised) — callers that stream ask
-        once at stream-open, not per window.  Raises ``ServingError`` 404
-        for an unknown model, 503 on shutdown.
-        """
-        _, batcher = self._resolve(name, version)
-        return batcher.serves_proba
-
-    def _classes(self, record: ModelRecord) -> list:
-        """JSON-ready label values aligned with the model's proba columns."""
-        key = (record.name, record.version)
-        with self._lock:
-            entry = self._loaded.get(key)
-        classes = entry[1].classes if entry is not None else None
-        if classes is None:
-            return record.metadata.get("labels") or []
-        return [_jsonable(value) for value in classes]
-
-    def _admit(self, name: str, instances, version, queue_timeout,
-               return_proba: bool = False) -> tuple[ModelRecord, list[Future]]:
+    def _admit(self, name: str, instances, version,
+               queue_timeout) -> tuple[ModelRecord, list[Future]]:
         if isinstance(instances, np.ndarray):
             if instances.ndim in (1, 2):
                 instances = instances[None]
@@ -494,8 +505,7 @@ class PredictionService:
             try:
                 # All-or-nothing admission: a 429 never leaves already-
                 # submitted series computing for a client that will retry.
-                futures = batcher.submit_many(instances, timeout=queue_timeout,
-                                              return_proba=return_proba)
+                futures = batcher.submit_many(instances, timeout=queue_timeout)
                 return record, futures
             except QueueFullError as error:
                 raise ServingError(429, str(error), retry_after=1) from error
@@ -694,35 +704,22 @@ class PredictionService:
                 if policy is None and "compute_policy" not in record.metadata:
                     policy = INFERENCE_POLICY
                 apply_inference_policy(model, policy)
-            predict_fn = model.predict
             preprocessed = record.metadata.get("preprocessing") \
                 == PROTOCOL_PREPROCESSING
-            if preprocessed:
-                predict_fn = lambda panel, _m=model: _m.predict(prepare_panel(panel))  # noqa: E731
-            # Probability head: enabled whenever the model serves
-            # predict_proba *and* exposes its class order — the batcher
-            # derives labels from probability rows, so the column labels
-            # are not optional.
-            proba_fn = getattr(model, "predict_proba", None)
-            classes = getattr(model, "classes_", None)
-            if proba_fn is not None and classes is not None:
-                if preprocessed:
-                    proba_fn = lambda panel, _m=model: _m.predict_proba(prepare_panel(panel))  # noqa: E731
-            else:
-                proba_fn = classes = None
             shape = record.metadata.get("input_shape")
             with self._lock:
                 stats = self._stats.setdefault(key, BatcherStats())
+                self._classes[key] = [_jsonable(value)
+                                      for value in model.classes_]
             entry = (record, MicroBatcher(
-                predict_fn,
+                _predictor(model, preprocessed),
                 input_shape=tuple(shape) if shape else None,
                 max_batch=self.max_batch, max_latency=self.max_latency,
-                workers=self.workers, max_queue=self.max_queue,
+                max_queue=self.max_queue,
                 # prepare_panel imputes, so NaN requests are servable —
                 # and must stay so (missing values are a modelled archive
                 # characteristic).
                 admit_nan=preprocessed, stats=stats,
-                proba_fn=proba_fn, classes=classes,
                 stage_observer=partial(self.observe_stage, key),
                 tracer=self.tracer,
             ))
@@ -883,11 +880,10 @@ class _Handler(BaseHTTPRequestHandler):
         ``Content-Length`` body.  The response is NDJSON too, streamed in
         chunked encoding: one ``{"kind": "window", ...}`` line per scored
         window *as it resolves*, then one ``{"kind": "summary", ...}``
-        line.  Window lines carry ``confidence`` whenever the model
-        serves probabilities; ``?proba=1`` additionally inlines each
-        window's full probability vector.  Failures after the 200 status
-        has been committed are reported in-band as a
-        ``{"kind": "error", ...}`` line.
+        line.  Window lines always carry ``confidence``; ``?proba=1``
+        additionally inlines each window's full probability vector.
+        Failures after the 200 status has been committed are reported
+        in-band as a ``{"kind": "error", ...}`` line.
 
         ``?session=<id>`` makes the stream durable: the response leads
         with a ``{"kind": "session", ...}`` ack, every window line gains
@@ -1133,14 +1129,13 @@ class _Handler(BaseHTTPRequestHandler):
                     trailer = self.rfile.readline(1024)
                     if trailer in (b"\r\n", b"\n", b""):
                         return
-            data = self.rfile.read(size)
-            self.rfile.read(2)  # the chunk's trailing CRLF
-            if len(data) < size:
-                # Connection died mid-chunk: not a clean end-of-body —
-                # session streams must stay resumable, not summarise.
-                self._body_truncated = True
+            # Sliced like a sized body, so the line cap bounds a chunk as
+            # it arrives; a short read (the connection died mid-chunk)
+            # marks the body truncated, which keeps a session resumable.
+            yield from self._iter_sized_body(size)
+            if self._body_truncated:
                 return
-            yield data
+            self.rfile.read(2)  # the chunk's trailing CRLF
 
     def _iter_sized_body(self, length: int):
         remaining = length
@@ -1162,7 +1157,8 @@ class _Handler(BaseHTTPRequestHandler):
             if len(buffer) > self._MAX_STREAM_LINE:
                 raise ServingError(
                     400, f"stream line exceeds {self._MAX_STREAM_LINE} bytes")
-        if buffer.strip():
+        # A body cut short ends in a torn line, never a sample.
+        if buffer.strip() and not self._body_truncated:
             yield buffer
 
     # ------------------------------------------------------------------ #
@@ -1176,7 +1172,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _admitted_length(self, empty_message: str) -> int:
         """The declared ``Content-Length``, refused when absent (400,
-        *empty_message*) or above ``max_body_bytes`` (413).
+        *empty_message*), not an integer (400) or above
+        ``max_body_bytes`` (413).
 
         An oversized body is refused without buffering, but the wire is
         *drained* (bounded): closing a socket with unread data makes the
@@ -1184,7 +1181,14 @@ class _Handler(BaseHTTPRequestHandler):
         client reads it.  The bytes are discarded chunk by chunk, never
         held.
         """
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            # Without a length the next request's start is unknown.
+            self.close_connection = True
+            raise ServingError(
+                400, f"malformed Content-Length: {declared!r}") from None
         if length <= 0:
             raise ServingError(400, empty_message)
         if self.max_body_bytes and length > self.max_body_bytes:
@@ -1307,7 +1311,7 @@ class PredictionServer(ThreadingHTTPServer):
 
 
 def build_service(registry: ModelRegistry | str, *, max_batch: int = 64,
-                  max_latency: float = 0.005, batch_workers: int = 1,
+                  max_latency: float = 0.005,
                   max_queue: int = 1024, max_loaded_models: int = 0,
                   compute_policy: ComputePolicy | None = None,
                   tracer=None) -> PredictionService:
@@ -1321,8 +1325,7 @@ def build_service(registry: ModelRegistry | str, *, max_batch: int = 64,
     if not isinstance(registry, ModelRegistry):
         registry = ModelRegistry(registry)
     return PredictionService(registry, max_batch=max_batch,
-                             max_latency=max_latency, workers=batch_workers,
-                             max_queue=max_queue,
+                             max_latency=max_latency, max_queue=max_queue,
                              max_loaded_models=max_loaded_models,
                              compute_policy=compute_policy,
                              tracer=tracer)
@@ -1330,7 +1333,7 @@ def build_service(registry: ModelRegistry | str, *, max_batch: int = 64,
 
 def create_server(registry: ModelRegistry | str, *, host: str = "127.0.0.1",
                   port: int = 0, max_batch: int = 64, max_latency: float = 0.005,
-                  batch_workers: int = 1, quiet: bool = True,
+                  quiet: bool = True,
                   max_queue: int = 1024, max_loaded_models: int = 0,
                   max_body_bytes: int = 10_000_000,
                   access_log: bool = False,
@@ -1348,8 +1351,7 @@ def create_server(registry: ModelRegistry | str, *, host: str = "127.0.0.1",
     ``None`` honours each record's metadata with a float32 default.
     """
     service = build_service(registry, max_batch=max_batch,
-                            max_latency=max_latency,
-                            batch_workers=batch_workers, max_queue=max_queue,
+                            max_latency=max_latency, max_queue=max_queue,
                             max_loaded_models=max_loaded_models,
                             compute_policy=compute_policy, tracer=tracer)
     handler = type("Handler", (_Handler,), {

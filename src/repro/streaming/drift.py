@@ -9,8 +9,8 @@ according to what the stream provides:
   synthetic sources), each window contributes a 0/1 correctness score;
   a shift shows up as the fast accuracy EWMA falling below the slow one
   by more than ``threshold``;
-* **confidence** — when the serving path carries probabilities (every
-  registry family does), each window contributes its top-1 probability;
+* **confidence** — each window contributes its top-1 probability, which
+  every served window carries (serving scores through ``predict_proba``);
   a shift shows up as the fast confidence EWMA falling below the slow
   one by more than ``confidence_threshold``.  This is the unlabelled
   deployment signal of choice: a model scoring data its training
@@ -19,11 +19,12 @@ according to what the stream provides:
   strength: a shift that swaps inputs among *known* concepts (a clean
   prototype permutation) keeps the model confidently wrong — only the
   accuracy signal can see that one;
-* **prediction distribution** — the no-probability fallback: per-label
+* **prediction distribution** — the fallback for callers that pass no
+  confidence to :meth:`DriftMonitor.update` (labels only): per-label
   frequency EWMAs, compared by total-variation distance.  Once any
   confidence observation has arrived this signal is **retired** — the
-  confidence EWMA supersedes the label-mix heuristic, which stays only
-  for models that genuinely cannot serve probabilities.  The fast view
+  confidence EWMA supersedes the label-mix heuristic, so a served stream
+  never flags on it (its ``divergence`` is still reported).  The fast view
   can move at most ``~0.66 x`` the true mix change before the slow view
   catches up, so the default threshold targets *large* mix changes (a
   class collapse); lower it for subtler shifts, at a false-positive
@@ -267,8 +268,8 @@ class DriftMonitor:
                     signal = "confidence"
                 elif self._conf_fast is None \
                         and self._diverging >= self.persistence:
-                    # The label-mix heuristic serves only streams whose
-                    # model cannot report how sure it is.
+                    # The label-mix heuristic serves only callers that
+                    # never report how sure the model is.
                     signal = "distribution"
             return DriftState(
                 windows=self._windows, divergence=divergence,

@@ -131,24 +131,23 @@ class WindowResult:
     label: object  # the model's prediction
     truth: int | None  # ground truth of the freshest sample, when known
     drift: DriftState | None
-    confidence: float | None = None  # top-1 probability, when served
-    proba: np.ndarray | None = None  # full probability vector, when served
+    confidence: float  # top-1 probability
+    proba: np.ndarray  # full probability vector, in the model's class order
     samples: int | None = None  # samples consumed at this window (sessions)
 
     def as_dict(self, *, with_proba: bool = False) -> dict:
         """JSON-ready form — the NDJSON wire format's ``window`` line.
 
-        ``confidence`` rides along whenever the model served it;
-        *with_proba* additionally inlines the full probability vector
-        (off by default: it multiplies the line size by the class count).
+        ``confidence`` always rides along; *with_proba* additionally
+        inlines the full probability vector (off by default: it
+        multiplies the line size by the class count).
         """
         out = {"kind": "window", "index": self.index, "start": self.start,
                "end": self.end, "label": self.label}
         if self.truth is not None:
             out["truth"] = self.truth
-        if self.confidence is not None:
-            out["confidence"] = round(self.confidence, 4)
-        if with_proba and self.proba is not None:
+        out["confidence"] = round(self.confidence, 4)
+        if with_proba:
             out["proba"] = [round(float(p), 6) for p in self.proba]
         if self.drift is not None:
             out["drift"] = self.drift.as_dict()
@@ -180,12 +179,9 @@ class StreamScorer:
     judged against the new concept, which is what makes the accuracy
     signal drop promptly after a shift.
 
-    When the model serves probabilities (every registry family does),
-    windows are scored through the batcher's probability path: each
-    result carries the top-1 ``confidence`` (and the full ``proba``
-    vector), and the drift monitor runs its confidence EWMA instead of
-    the label-mix fallback.  *use_proba* forces the choice; the default
-    asks the service once at stream open.
+    Every window is scored through the model's probabilities: each
+    result carries the top-1 ``confidence`` and the full ``proba``
+    vector, and the drift monitor runs its confidence EWMA.
 
     An optional *adapter* (an
     :class:`~repro.adaptation.AdaptationController` or anything with its
@@ -219,7 +215,7 @@ class StreamScorer:
     def __init__(self, service, name: str, *, window: int, hop: int | None = None,
                  version=None, monitor: DriftMonitor | None = None,
                  max_inflight: int = 32, queue_timeout: float = 5.0,
-                 use_proba: bool | None = None, adapter=None, journal=None,
+                 adapter=None, journal=None,
                  session: StreamSession | None = None):
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1; got {max_inflight}")
@@ -240,10 +236,8 @@ class StreamScorer:
         self.adapter = adapter
         self.journal = journal
         self.session = session
-        self._use_proba_arg = use_proba  # explicit caller choice, if any
         self.tracer = getattr(service, "tracer", None) or get_tracer()
-        self.record, self._stats, self.use_proba = self._open(
-            name, version, fallback=False)
+        self.record, self._stats = service.open_stream(name, version)
         #: the stream's root span: opened here, ended by close().  When
         #: tracing is off this is the shared no-op span and the context
         #: stays None, which turns every per-window trace guard off.
@@ -268,24 +262,6 @@ class StreamScorer:
                 # The stream was counted as open above; don't leak the gauge.
                 service.close_stream(self.record)
                 raise
-
-    def _open(self, name: str, version, *, fallback: bool):
-        """Open the stream on *version*: ``(record, stats, use_proba)``.
-
-        The constructor's explicit *use_proba* wins over asking the
-        service (*fallback* when it cannot say); a failure closes the
-        stream again, so the active-streams gauge never leaks.
-        """
-        record, stats = self.service.open_stream(name, version)
-        try:
-            use_proba = self._use_proba_arg
-            if use_proba is None:
-                probe = getattr(self.service, "serves_proba", None)
-                use_proba = probe(name, version) if probe else fallback
-        except BaseException:
-            self.service.close_stream(record)
-            raise
-        return record, stats, bool(use_proba)
 
     # ------------------------------------------------------------------ #
 
@@ -381,9 +357,8 @@ class StreamScorer:
         while self._pending:
             self._ready.append(self._resolve_head())
         old = self.record
-        opened = self._open(old.name, version, fallback=self.use_proba)
+        self.record, self._stats = self.service.open_stream(old.name, version)
         self.service.close_stream(old)
-        self.record, self._stats, self.use_proba = opened
         self.version = version
         self._span.set("swapped_to", self.record.version)
         return self.record
@@ -444,12 +419,11 @@ class StreamScorer:
                 _, futures = self.service.submit(
                     self.record.name, [panel], self.record.version,
                     queue_timeout=self.queue_timeout,
-                    return_proba=self.use_proba,
                 )
         else:
             _, futures = self.service.submit(
                 self.record.name, [panel], self.record.version,
-                queue_timeout=self.queue_timeout, return_proba=self.use_proba,
+                queue_timeout=self.queue_timeout,
             )
         self._pending.append(_Pending(
             index=index, start=end - self.window + 1, end=end,
@@ -482,13 +456,9 @@ class StreamScorer:
                     503, f"window {head.index} prediction timed out after "
                          f"{timeout}s"
                 ) from error
-            proba = confidence = None
-            if self.use_proba:
-                label = _key(outcome.label)
-                proba = np.asarray(outcome.proba)
-                confidence = float(proba.max())
-            else:
-                label = _key(outcome)
+            label = _key(outcome.label)
+            proba = outcome.proba
+            confidence = float(proba.max())
             state = self.monitor.update(label, head.truth, confidence)
             if state.shift:
                 self._shifts += 1

@@ -131,8 +131,6 @@ class TestControllerValidation:
                            dict(buffer_capacity=4, collect_windows=8),
                            dict(shadow_windows=0),
                            dict(shadow_batch=0),
-                           dict(agreement_threshold=0.0),
-                           dict(agreement_threshold=1.5),
                            dict(cooldown_windows=-1)):
                 with pytest.raises(ValueError):
                     AdaptationController(service, "demo", **kwargs)
@@ -280,7 +278,6 @@ class TestUnlabelledConfidencePath:
         try:
             with StreamScorer(service, "demo", window=WINDOW,
                               adapter=controller) as scorer:
-                assert scorer.use_proba
                 results = []
                 for sample in in_dist:
                     results.extend(scorer.feed(sample.values, None))

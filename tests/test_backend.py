@@ -307,6 +307,9 @@ class TestParity:
                     return np.zeros(len(X), dtype=np.int64)
                 return self._inner.predict(X)
 
+            def predict_proba(self, X):
+                return self._inner.predict_proba(X)
+
         with pytest.raises(ValueError, match="parity failure"):
             check_parity(Liar(fitted_model), panel[0], INFERENCE_POLICY)
 

@@ -73,15 +73,6 @@ def test_concurrent_submitters(fitted):
     assert all(results[i] == expected[i] for i in range(len(X)))
 
 
-def test_worker_pool_serves_all(fitted):
-    model, X = fitted
-    with MicroBatcher(model.predict, max_batch=4, max_latency=0.005,
-                      workers=3) as batcher:
-        futures = [batcher.submit(series) for series in X]
-        labels = np.array([future.result(timeout=10) for future in futures])
-    assert np.array_equal(labels, model.predict(X))
-
-
 def test_lone_request_skips_the_straggler_wait():
     """With nothing queued behind it a request runs at once: max_latency
     caps a wait that is taken only while arrivals are dense."""
@@ -235,8 +226,6 @@ def test_invalid_parameters_rejected():
         MicroBatcher(predict, max_batch=0)
     with pytest.raises(ValueError):
         MicroBatcher(predict, max_latency=-1.0)
-    with pytest.raises(ValueError):
-        MicroBatcher(predict, workers=0)
     with pytest.raises(ValueError):
         MicroBatcher(predict, max_queue=-1)
 

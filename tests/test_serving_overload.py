@@ -142,12 +142,13 @@ class TestBackpressure:
         try:
             service.predict("demo", X[:1])
             _, batcher = service._loaded[("demo", 1)]
+            real = batcher._predict_fn
             entered, release = threading.Event(), threading.Event()
 
             def gated(panel):
                 entered.set()
                 release.wait(timeout=10)
-                return np.zeros(len(panel))
+                return real(panel)
 
             batcher._predict_fn = gated
             with ThreadPoolExecutor(max_workers=2) as pool:
@@ -185,6 +186,26 @@ class TestBackpressure:
                                 {"series": [[1.0, 2.0]]})
         assert status == 400
         assert "shape" in body["error"]
+
+    @pytest.mark.parametrize("route", ["predict", "stream"])
+    def test_malformed_content_length_is_400(self, request, registry, route):
+        """A Content-Length that is not an integer is the client's error:
+        both body-reading routes answer 400 with the same message."""
+        import socket
+
+        server = _serve(request, registry)
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=10) as sock:
+            sock.sendall(
+                f"POST /v1/models/demo/{route} HTTP/1.1\r\n".encode()
+                + b"Host: test\r\nConnection: close\r\n"
+                b"Content-Length: abc\r\n\r\n")
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == b"400", reply
+        assert json.loads(body)["error"] == "malformed Content-Length: 'abc'"
 
 
 class TestModelLifecycle:

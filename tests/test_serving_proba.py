@@ -1,10 +1,10 @@
-"""Probabilities on the wire: batcher proba path, service fields, HTTP.
+"""Probabilities on the wire: service fields, futures, HTTP.
 
 The agreement contract (``argmax(predict_proba) == predict``) is swept
 per classifier family in ``test_cls_contract.py``; here the serving
 layers are checked to *carry* those probabilities faithfully — through
-coalesced mixed batches, the service's ``return_proba`` surface, the
-HTTP predict body flag and the NDJSON stream's confidence fields.
+the service's ``return_proba`` reply shape, its submit futures, the HTTP
+predict body flag and the NDJSON stream's confidence fields.
 """
 
 import json
@@ -18,11 +18,9 @@ import pytest
 from repro.classifiers import RocketClassifier
 from repro.data import make_classification_panel
 from repro.serving import (
-    MicroBatcher,
     ModelRegistry,
     Prediction,
     PredictionService,
-    ServingError,
     create_server,
     model_metadata,
     prepare_panel,
@@ -62,53 +60,6 @@ def service(registry):
     service.close()
 
 
-class TestBatcherProba:
-    def test_proba_fn_requires_classes(self, model):
-        with pytest.raises(ValueError, match="classes"):
-            MicroBatcher(model.predict, proba_fn=model.predict_proba)
-
-    def test_return_proba_without_proba_fn_refused_at_submit(self, model):
-        with MicroBatcher(model.predict) as batcher:
-            assert not batcher.serves_proba
-            with pytest.raises(ValueError, match="probabilities"):
-                batcher.submit(np.zeros((2, WINDOW)), return_proba=True)
-
-    def test_mixed_batch_one_pass(self, problem, model):
-        """Proba and plain requests coalesce into one panel predicted
-        once through the probability head; labels agree with predict."""
-        X, _ = problem
-        calls = {"predict": 0, "proba": 0}
-
-        def predict_fn(panel):
-            calls["predict"] += 1
-            return model.predict(panel)
-
-        def proba_fn(panel):
-            calls["proba"] += 1
-            return model.predict_proba(panel)
-
-        prepared = prepare_panel(X[:8])
-        with MicroBatcher(predict_fn, proba_fn=proba_fn,
-                          classes=model.classes_, max_batch=64,
-                          max_latency=0.2) as batcher:
-            assert batcher.serves_proba
-            futures = [
-                batcher.submit(prepared[i], return_proba=bool(i % 2))
-                for i in range(8)
-            ]
-            results = [future.result(timeout=10) for future in futures]
-        assert calls["proba"] >= 1 and calls["predict"] == 0
-        expected_labels = model.predict(prepared)
-        expected_probas = model.predict_proba(prepared)
-        for i, result in enumerate(results):
-            if i % 2:
-                assert isinstance(result, Prediction)
-                assert result.label == expected_labels[i]
-                np.testing.assert_allclose(result.proba, expected_probas[i])
-            else:
-                assert result == expected_labels[i]
-
-
 class TestServiceProba:
     def test_predict_return_proba_fields(self, service, problem, model):
         X, _ = problem
@@ -124,17 +75,31 @@ class TestServiceProba:
         # The labels equal the plain path's labels exactly.
         assert out["labels"] == service.predict("demo", X[:5])["labels"]
 
-    def test_serves_proba(self, service):
-        assert service.serves_proba("demo") is True
-        with pytest.raises(ServingError):
-            service.serves_proba("missing")
+    def test_plain_predict_is_scored_through_predict_proba(
+            self, service, problem, model, monkeypatch):
+        """One prediction path: the model's label-only predict is never
+        called, and the proba flag changes the reply, not the labels."""
+        X, _ = problem
+
+        def refuse(self, panel):
+            raise AssertionError("served through model.predict")
+
+        monkeypatch.setattr(type(model), "predict", refuse)
+        plain = service.predict("demo", X[:5])
+        full = service.predict("demo", X[:5], return_proba=True)
+        assert plain["labels"] == full["labels"] == [
+            full["classes"][int(np.argmax(p))] for p in full["probas"]]
 
     def test_submit_return_proba_futures(self, service, problem):
+        """A plain submit's futures resolve to Predictions: the label and
+        probability row the predict reply carries for the same series."""
         X, _ = problem
-        record, futures = service.submit("demo", X[:3], return_proba=True)
+        record, futures = service.submit("demo", X[:3])
         results = [future.result(timeout=10) for future in futures]
         assert all(isinstance(result, Prediction) for result in results)
-        assert all(result.proba.shape == (3,) for result in results)
+        reply = service.predict("demo", X[:3], return_proba=True)
+        assert [result.label for result in results] == reply["labels"]
+        assert [list(result.proba) for result in results] == reply["probas"]
 
 
 class TestHTTPProba:

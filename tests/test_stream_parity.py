@@ -7,7 +7,7 @@ results of handing the same windows to ``PredictionService.predict`` in
 one batch call.  Any divergence means the stream path preprocesses,
 batches or orders differently from the batch path — the bug class this
 suite pins down across overlap hops, protocol preprocessing on/off, and
-probability serving on/off.
+the label and probability halves of each answer.
 """
 
 import numpy as np
@@ -65,10 +65,9 @@ def _stream_windows(X: np.ndarray, hop: int) -> list[np.ndarray]:
             for start in range(0, total - WINDOW + 1, hop)]
 
 
-def _replay(service, name, X, y, *, hop, use_proba):
+def _replay(service, name, X, y, *, hop):
     source = ReplaySource(X, y)
-    with StreamScorer(service, name, window=WINDOW, hop=hop,
-                      use_proba=use_proba) as scorer:
+    with StreamScorer(service, name, window=WINDOW, hop=hop) as scorer:
         results = []
         for sample in source:
             results.extend(scorer.feed(sample.values, sample.label))
@@ -79,7 +78,7 @@ def _replay(service, name, X, y, *, hop, use_proba):
 def _assert_stream_probas_match_batch(service, problem, name, hop, *,
                                       rtol, atol):
     X, y = problem
-    results = _replay(service, name, X[:10], y[:10], hop=hop, use_proba=True)
+    results = _replay(service, name, X[:10], y[:10], hop=hop)
     windows = _stream_windows(X[:10], hop)
     assert len(results) == len(windows)
     batch = service.predict(name, windows, return_proba=True)
@@ -98,8 +97,7 @@ class TestBackfillStreamParity:
     def test_labels_match_batch_predict(self, service, problem, name, hop):
         """Stream labels == batch labels, window for window."""
         X, y = problem
-        results = _replay(service, name, X[:10], y[:10], hop=hop,
-                          use_proba=False)
+        results = _replay(service, name, X[:10], y[:10], hop=hop)
         windows = _stream_windows(X[:10], hop)
         assert len(results) == len(windows) \
             == expected_windows(10 * WINDOW, WINDOW, hop)
@@ -131,8 +129,7 @@ class TestBackfillStreamParity:
         label comparison above compares the windows it thinks it does."""
         X, y = problem
         hop = 8
-        results = _replay(service, "protocol", X[:6], y[:6], hop=hop,
-                          use_proba=False)
+        results = _replay(service, "protocol", X[:6], y[:6], hop=hop)
         for position, result in enumerate(results):
             assert result.index == position
             assert result.start == position * hop
@@ -173,9 +170,8 @@ class TestFloat32BackfillStreamParity:
     def test_float32_stream_labels_bit_identical_to_float64(
             self, service, service_f64, problem, name, hop):
         X, y = problem
-        f32 = _replay(service, name, X[:10], y[:10], hop=hop, use_proba=False)
-        f64 = _replay(service_f64, name, X[:10], y[:10], hop=hop,
-                      use_proba=False)
+        f32 = _replay(service, name, X[:10], y[:10], hop=hop)
+        f64 = _replay(service_f64, name, X[:10], y[:10], hop=hop)
         assert [r.label for r in f32] == [r.label for r in f64]
 
     @pytest.mark.parametrize("name", ["protocol", "raw"])
@@ -205,8 +201,7 @@ class TestFloat32BackfillStreamParity:
             self, service, problem):
         """Within one policy the stream/batch contract stays exact."""
         X, y = problem
-        results = _replay(service, "protocol", X[:10], y[:10], hop=8,
-                          use_proba=True)
+        results = _replay(service, "protocol", X[:10], y[:10], hop=8)
         windows = _stream_windows(X[:10], 8)
         batch = service.predict("protocol", windows, return_proba=True)
         np.testing.assert_array_equal(np.stack([r.proba for r in results]),

@@ -154,6 +154,44 @@ class TestStreamEndpoint:
             connection.close()
         assert lines[-1]["kind"] == "error"
 
+    def test_line_cap_bounds_a_chunk_as_it_arrives(self, server):
+        """A chunk declaring 32 MiB is read in slices: once 1 MiB passes
+        without a newline the in-band error arrives, without waiting for
+        (or buffering) the rest of the declared chunk."""
+        import socket
+
+        cap = 1_048_576
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=5) as sock:
+            sock.sendall(
+                f"POST /v1/models/demo/stream?window={WINDOW} HTTP/1.1\r\n"
+                "Host: test\r\nTransfer-Encoding: chunked\r\n\r\n"
+                f"{32 * cap:x}\r\n".encode())
+            # 17 slices of 64 KiB: exactly what the server reads before
+            # the buffered partial line passes the cap, so no unread
+            # bytes turn its close into a reset.
+            for _ in range(17):
+                sock.sendall(b"x" * 65536)
+            reply = b""
+            while chunk := sock.recv(65536):  # times out at 5 s
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 200"), reply[:200]
+        assert f"stream line exceeds {cap} bytes".encode() in reply
+
+    def test_truncated_body_drops_its_torn_last_line(self):
+        """A connection that dies mid-line leaves a torn line: it is
+        dropped, not parsed as a sample."""
+        from repro.serving.server import _Handler
+
+        handler = _Handler.__new__(_Handler)
+        handler._body_truncated = False
+
+        def chunks():
+            yield b'{"values": [1.0]}\n{"values": [2'
+            handler._body_truncated = True  # the read came up short
+
+        assert list(handler._iter_lines(chunks())) == [b'{"values": [1.0]}']
+
     def test_wrong_channel_count_reports_in_band_error(self, server):
         events = list(stream_windows("127.0.0.1", server.port, "demo",
                                      [([0.0, 0.0, 0.0], None)] * WINDOW,
