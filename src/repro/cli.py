@@ -180,8 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="base URL of a running `repro serve`")
     _add_replay_arguments(stream)
     stream.add_argument("--no-labels", action="store_true",
-                        help="withhold ground-truth labels (drift detection "
-                             "falls back to the prediction distribution)")
+                        help="withhold ground-truth labels (drift uses the "
+                             "confidence EWMA)")
     stream.add_argument("--session", default=None, metavar="ID",
                         help="stream through a durable session: the client "
                              "resumes across disconnects and worker deaths "
@@ -662,8 +662,8 @@ def _cmd_stream(args) -> int:
     if replay is None:
         return 2
     replayed, window = replay
-    samples = ((sample.values, None if args.no_labels else sample.label)
-               for sample in replayed)
+    samples = ((sample.values, None if args.no_labels else sample.label,
+                sample.t) for sample in replayed)
 
     failed = False
     try:

@@ -52,9 +52,11 @@ from __future__ import annotations
 
 import json
 import re
+import socket
 import threading
 import time
 import urllib.parse
+from collections import deque
 from concurrent.futures import Future, TimeoutError as FutureTimeoutError
 from contextlib import nullcontext
 from functools import partial
@@ -754,6 +756,92 @@ def _jsonable(value):
 # --------------------------------------------------------------------------- #
 
 
+class _Inbox:
+    """A stream handler's two event sources behind one lock.
+
+    A reader thread queues request-body lines (:meth:`fill`), blocking
+    while *bound* lines wait, so TCP backpressure still reaches a client
+    that sends faster than the stream is scored.  Window futures post a
+    coalesced "a window resolved" flag (:meth:`wake`) from their
+    done-callbacks, which run on the batcher thread: it holds the lock
+    only to set the flag and never waits for space, so a stalled stream
+    cannot stall the batcher every stream of its model shares.  The
+    handler thread consumes both through :meth:`take`.  Each side is
+    notified only when the other may be waiting for it.
+    """
+
+    END = object()  # take(): the body is complete
+
+    def __init__(self, bound: int):
+        self._bound = bound
+        self._lines: deque[bytes] = deque()
+        lock = threading.Lock()
+        self._has_event = threading.Condition(lock)  # the handler waits
+        self._has_room = threading.Condition(lock)  # the reader waits
+        self._woken = False
+        self._ended = False
+        self._error: Exception | None = None
+        self._closed = False
+
+    def fill(self, lines) -> None:
+        """Reader-thread body: queue every line of *lines*, then the end
+        of the body or the error that cut it short.  Returns early once
+        :meth:`close` is called."""
+        error = None
+        try:
+            for line in lines:
+                with self._has_room:
+                    while len(self._lines) >= self._bound and not self._closed:
+                        self._has_room.wait()
+                    if self._closed:
+                        return
+                    self._lines.append(line)
+                    if len(self._lines) == 1:
+                        self._has_event.notify()
+        except Exception as caught:  # noqa: BLE001 - raised again by take()
+            error = caught
+        with self._has_event:
+            self._ended, self._error = True, error
+            self._has_event.notify()
+
+    def wake(self, _future=None) -> None:
+        """Post "a window resolved"; returns at once, whatever is queued."""
+        if self._woken:
+            return  # posted already; the next take() sees this window too
+        with self._has_event:
+            self._woken = True
+            self._has_event.notify()
+
+    def take(self):
+        """Block for the next event: a body line, ``None`` for a resolve
+        wake-up, or :attr:`END`.  Lines come first (feeding collects the
+        resolved windows too); the reader's error is raised once the
+        lines before it are taken."""
+        with self._has_event:
+            while not (self._lines or self._woken or self._ended):
+                self._has_event.wait()
+            woken, self._woken = self._woken, False
+            if self._lines:
+                line = self._lines.popleft()
+                if len(self._lines) == self._bound // 2:
+                    # Wake a reader blocked on the full queue only once
+                    # half of it is free: it refills in one run rather
+                    # than one line per take.
+                    self._has_room.notify()
+                return line
+            if woken:
+                return None
+            if self._error is not None:
+                raise self._error
+            return self.END
+
+    def close(self) -> None:
+        """Release a reader blocked on a full queue; it stops reading."""
+        with self._has_room:
+            self._closed = True
+            self._has_room.notify()
+
+
 class _Handler(BaseHTTPRequestHandler):
     service: PredictionService  # injected by create_server
     quiet = True
@@ -872,18 +960,32 @@ class _Handler(BaseHTTPRequestHandler):
     #: to a filename-safe alphabet
     _SESSION_ID = re.compile(r"[A-Za-z0-9._-]{1,64}")
 
+    #: body lines the reader thread may queue ahead of the stream loop;
+    #: past this it stops reading, so TCP backpressure reaches the sender
+    _READ_AHEAD = 64
+
     def _stream(self, name: str, query: dict[str, list[str]]) -> None:
         """Score an NDJSON sample stream window by window.
 
-        The request body is NDJSON — one ``{"values": [...], "label": n?}``
-        object per line, chunked transfer encoding or a plain
-        ``Content-Length`` body.  The response is NDJSON too, streamed in
-        chunked encoding: one ``{"kind": "window", ...}`` line per scored
-        window *as it resolves*, then one ``{"kind": "summary", ...}``
-        line.  Window lines always carry ``confidence``; ``?proba=1``
-        additionally inlines each window's full probability vector.
-        Failures after the 200 status has been committed are reported
-        in-band as a ``{"kind": "error", ...}`` line.
+        The request body is NDJSON — one ``{"values": [...], "label":
+        n?, "t": n?}`` object per line, chunked transfer encoding or a
+        plain ``Content-Length`` body; ``t``, the sample's position on
+        the source clock, must be an integer that increases, and a jump
+        in it restarts the window ring (a gap).  The response is NDJSON
+        too, streamed in chunked encoding: one ``{"kind": "window",
+        ...}`` line per scored window as soon as its prediction
+        resolves — not when the next sample arrives — then one
+        ``{"kind": "summary", ...}`` line.  Window lines always carry
+        ``confidence``; ``?proba=1`` additionally inlines each window's
+        full probability vector.  Failures after the 200 status has
+        been committed are reported in-band as a ``{"kind": "error",
+        ...}`` line.
+
+        One loop on this thread owns the scorer, the session and the
+        response.  It takes two kinds of event from an :class:`_Inbox`:
+        body lines, framed by a reader thread that only reads the
+        socket, and "a window resolved" wake-ups posted by the window
+        futures.  The reader ends with the stream, however it ends.
 
         ``?session=<id>`` makes the stream durable: the response leads
         with a ``{"kind": "session", ...}`` ack, every window line gains
@@ -931,8 +1033,12 @@ class _Handler(BaseHTTPRequestHandler):
                     session = store.open(session_id)
                 epoch = session.epoch
             body_lines = self._open_body_lines()
+            inbox = _Inbox(self._READ_AHEAD)
             scorer = StreamScorer(self.service, name, window=window, hop=hop,
-                                  version=version, session=session)
+                                  version=version, session=session,
+                                  on_resolve=inbox.wake)
+            if session is not None:
+                session.on_takeover = inbox.wake
         except (SessionError, ServingError, ValueError) as error:
             # Nothing is committed yet (the scorer is the try's last
             # step), so the session settles and the refusal gets a
@@ -954,6 +1060,9 @@ class _Handler(BaseHTTPRequestHandler):
         sent = 0
         self._body_truncated = False
         resumable = True  # how to settle the session if the wire dies
+        reader = threading.Thread(target=inbox.fill, args=(body_lines,),
+                                  name="stream-reader", daemon=True)
+        reader.start()
         # One owner batch per session-stream step: scorer advance, line
         # caching and the store save land atomically with respect to a
         # resume takeover — the socket writes stay outside so a zombie
@@ -973,19 +1082,15 @@ class _Handler(BaseHTTPRequestHandler):
                     for line in replay:
                         sent += self._write_stream_line(line)
                 detach = False
-                for line in body_lines:
-                    if not line.strip():
-                        continue
-                    sample = json.loads(line)
-                    if not isinstance(sample, dict) or "values" not in sample:
-                        raise ValueError(
-                            'each stream line is {"values": [...]} with an '
-                            'optional "label"'
-                        )
+                while (line := inbox.take()) is not inbox.END:
+                    if line is not None:
+                        values, label, t = self._parse_sample(line)
                     swap_line = None
                     with owner_batch():
-                        results = scorer.feed(sample["values"],
-                                              sample.get("label"))
+                        if line is None:  # a window resolved
+                            results = scorer.poll()
+                        else:
+                            results = scorer.feed(values, label, t=t)
                         payloads = self._prepare_windows(
                             results, session, store, with_proba)
                         if follow and results:
@@ -1045,8 +1150,10 @@ class _Handler(BaseHTTPRequestHandler):
                 sent += self._write_stream_line(
                     {"kind": "error", "error": str(error)})
             # Close (idempotent) before the terminal chunk: when the client
-            # unblocks, the active-streams gauge has already dropped.
+            # unblocks, the active-streams gauge has already dropped and
+            # the reader thread is gone.
             scorer.close()
+            self._stop_reader(inbox, reader)
             self.wfile.write(b"0\r\n\r\n")  # terminate the chunked body
         except (BrokenPipeError, ConnectionResetError, TimeoutError) as error:
             # Client hung up mid-stream; nothing left to answer, but the
@@ -1056,10 +1163,39 @@ class _Handler(BaseHTTPRequestHandler):
                 path=self.path, status=200, error=type(error).__name__)
         finally:
             scorer.close()
+            self._stop_reader(inbox, reader)
             self._settle_session(session, epoch, resumable=resumable)
         self.service.record_response(200)
         if self.access_log:
             self._log_access(200, sent)
+
+    @staticmethod
+    def _parse_sample(line: bytes) -> tuple:
+        """One request line as ``feed``'s ``(values, label, t)``."""
+        sample = json.loads(line)
+        if not isinstance(sample, dict) or "values" not in sample:
+            raise ValueError(
+                'each stream line is {"values": [...]} with an optional '
+                '"label" and an optional integer "t"'
+            )
+        t = sample.get("t")
+        if t is not None and type(t) is not int:
+            raise ValueError(f'"t" must be an integer; got {t!r}')
+        return sample["values"], sample.get("label"), t
+
+    def _stop_reader(self, inbox: _Inbox, reader: threading.Thread) -> None:
+        """End the stream's reader thread before the connection closes.
+
+        A reader blocked on the full inbox is released by ``close``; one
+        blocked in ``recv`` by shutting the socket's read side, so
+        ``rfile.close()`` never waits on a read that cannot finish.
+        """
+        inbox.close()
+        try:
+            self.connection.shutdown(socket.SHUT_RD)
+        except OSError:
+            pass  # already gone
+        reader.join()
 
     def _settle_session(self, session, epoch: int = 0, *,
                         resumable: bool) -> None:
@@ -1153,7 +1289,8 @@ class _Handler(BaseHTTPRequestHandler):
             buffer += data
             while b"\n" in buffer:
                 line, buffer = buffer.split(b"\n", 1)
-                yield line
+                if line.strip():
+                    yield line
             if len(buffer) > self._MAX_STREAM_LINE:
                 raise ServingError(
                     400, f"stream line exceeds {self._MAX_STREAM_LINE} bytes")

@@ -3,8 +3,9 @@
 Stdlib only, like the server.  The request body is sent with chunked
 transfer encoding from a background thread while the main thread reads
 the chunked response — full duplex, so a long stream never deadlocks on
-socket buffers: the server emits a window line as soon as the window
-resolves, and the client consumes it while still sending samples.
+socket buffers: the server writes a window line as soon as the window's
+prediction resolves, without waiting for the next sample, and the
+client consumes it while still sending samples.
 
 The one public entry point is :func:`stream_windows`, which yields the
 response lines (``window`` results, then a ``summary``; an ``error`` line
@@ -15,8 +16,10 @@ on in-band failure) as parsed dictionaries::
         if event["kind"] == "window":
             ...
 
-*samples* is any iterable of ``(values, label_or_None)`` pairs or bare
-value vectors.
+*samples* is any iterable of ``(values, label_or_None)`` pairs,
+``(values, label_or_None, t)`` triples — ``t`` is the sample's position
+on the source clock, sent so the server can see gaps (``None`` sends
+none) — ready-made request-line dicts, or bare value vectors.
 """
 
 from __future__ import annotations
@@ -54,11 +57,13 @@ def _encode_sample(sample) -> bytes:
     """One NDJSON line, framed as one HTTP chunk."""
     if isinstance(sample, dict):
         payload = sample
-    elif isinstance(sample, tuple) and len(sample) == 2:
-        values, label = sample
+    elif isinstance(sample, tuple) and len(sample) in (2, 3):
+        values, label, t = sample if len(sample) == 3 else (*sample, None)
         payload = {"values": np.asarray(values, dtype=float).tolist()}
         if label is not None:
             payload["label"] = int(label)
+        if t is not None:
+            payload["t"] = int(t)
     else:
         payload = {"values": np.asarray(sample, dtype=float).tolist()}
     data = json.dumps(payload).encode() + b"\n"

@@ -171,8 +171,11 @@ class StreamScorer:
     Opens a stream on *service* (resolving the model — a missing name
     fails here, before any sample is consumed) and must be closed again;
     use it as a context manager.  ``feed`` returns the results that are
-    ready *so far* (possibly none, possibly several); ``finish`` drains
-    the rest.
+    ready *so far* (possibly none, possibly several), ``poll`` returns
+    them without feeding, and ``finish`` drains the rest.  An optional
+    *on_resolve* callable is invoked with each window's future when its
+    prediction resolves — on the batcher's thread, so it must not
+    block; the HTTP stream handler uses it to wake up and ``poll``.
 
     The window's ground truth, when samples carry labels, is the label of
     its **most recent** sample — windows straddling a concept boundary are
@@ -216,7 +219,7 @@ class StreamScorer:
                  version=None, monitor: DriftMonitor | None = None,
                  max_inflight: int = 32, queue_timeout: float = 5.0,
                  adapter=None, journal=None,
-                 session: StreamSession | None = None):
+                 session: StreamSession | None = None, on_resolve=None):
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1; got {max_inflight}")
         if window < 1:
@@ -236,6 +239,7 @@ class StreamScorer:
         self.adapter = adapter
         self.journal = journal
         self.session = session
+        self.on_resolve = on_resolve
         self.tracer = getattr(service, "tracer", None) or get_tracer()
         self.record, self._stats = service.open_stream(name, version)
         #: the stream's root span: opened here, ended by close().  When
@@ -294,12 +298,18 @@ class StreamScorer:
         **gap** — missing samples, a truncated ragged series — and the
         window buffer is reset, so no window ever silently mixes
         observations from both sides of the discontinuity; window
-        ``start``/``end`` indices are then reported on that clock.
-        Without *t* the stream is assumed contiguous (the historical
-        behaviour, bit-identical).
+        ``start``/``end`` indices are then reported on that clock.  A
+        *t* that does not increase raises ``ValueError``.  Without *t*
+        the stream is assumed contiguous (the historical behaviour,
+        bit-identical).
         """
         if self._closed:
             raise RuntimeError("cannot feed a closed StreamScorer")
+        if t is not None:
+            t = int(t)
+            if self._last_t is not None and t <= self._last_t:
+                raise ValueError(
+                    f"t must increase: got {t} after {self._last_t}")
         values = np.asarray(values, dtype=np.float64)
         if self._windower is None:
             if values.ndim != 1:
@@ -309,7 +319,6 @@ class StreamScorer:
                 )
             self._windower = SlidingWindower(len(values), self.window, self.hop)
         if t is not None:
-            t = int(t)
             if self._last_t is not None and t != self._last_t + 1:
                 self._gaps += 1
                 self._windower.reset()
@@ -319,6 +328,12 @@ class StreamScorer:
         self._samples += 1
         if panel is not None:
             self._submit(panel, label, end)
+        return self._collect()
+
+    def poll(self) -> list[WindowResult]:
+        """Return the window results that are ready now, without feeding."""
+        if self._closed:
+            raise RuntimeError("cannot poll a closed StreamScorer")
         return self._collect()
 
     def finish(self) -> list[WindowResult]:
@@ -431,6 +446,8 @@ class StreamScorer:
             panel=panel, ctx=ctx,
         ))
         self._submitted += 1
+        if self.on_resolve is not None:
+            futures[0].add_done_callback(self.on_resolve)
 
     def _collect(self, drain: bool = False) -> list[WindowResult]:
         out, self._ready = self._ready, []

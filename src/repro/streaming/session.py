@@ -138,6 +138,10 @@ class StreamSession:
         self.lines: deque[dict] = deque(maxlen=int(cache_lines))
         self.active = False
         self.epoch = 0
+        #: set by the attached stream handler: called (no arguments) when
+        #: a resume takes the session over, so a handler waiting on a
+        #: half-open connection wakes, finds itself fenced and ends
+        self.on_takeover = None
         self.touched = time.time()
         # Serialises owner batches against attachment changes: a handler
         # mutates the session (advance + remember + save) only inside
@@ -383,6 +387,9 @@ class SessionStore:
             session.epoch += 1
             session.active = True
             session.touched = time.time()
+            fenced, session.on_takeover = session.on_takeover, None
+        if taken_over and fenced is not None:
+            fenced()
         with self._lock:
             self.resumed.inc()
             self.replayed.inc(len(replay))

@@ -230,6 +230,17 @@ class TestScorerGapSemantics:
         assert [(r.start, r.end) for r in results] \
             == [(i * WINDOW, (i + 1) * WINDOW - 1) for i in range(4)]
 
+    def test_t_must_increase(self, service):
+        """A clock that stalls or runs backwards is refused, and the
+        refused sample changes nothing."""
+        with StreamScorer(service, "gapdemo", window=WINDOW,
+                          hop=WINDOW) as scorer:
+            scorer.feed([0.0, 0.0], t=3)
+            for t in (3, 2):
+                with pytest.raises(ValueError, match="t must increase"):
+                    scorer.feed([0.0, 0.0], t=t)
+            assert (scorer.samples, scorer.gaps) == (1, 0)
+
     def test_consecutive_t_matches_no_t(self, service):
         """Passing a contiguous clock is bit-identical to passing none."""
         X, y = make_classification_panel(

@@ -2,7 +2,11 @@
 
 import http.client
 import json
+import socket
+import struct
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -10,9 +14,12 @@ import pytest
 from repro.classifiers import RocketClassifier
 from repro.cli import main
 from repro.data.generators import MTSGenerator
+from repro.data.scenarios import make_world
 from repro.serving import ModelRegistry, create_server, model_metadata, prepare_panel
+from repro.serving.server import _Handler, _Inbox
 from repro.streaming import (
     StreamRequestError,
+    StreamScorer,
     SyntheticSource,
     expected_windows,
     stream_windows,
@@ -233,6 +240,296 @@ class TestStreamEndpoint:
         assert "repro_serving_streams_total" in text
         assert "repro_serving_stream_windows_total" in text
         assert 'repro_serving_active_streams{model="demo",version="1"} 0' in text
+
+
+def _open_raw_stream(port: int, query: str) -> socket.socket:
+    """A stream request over a raw socket, chunked body left open."""
+    sock = socket.create_connection(("127.0.0.1", port), timeout=5)
+    sock.sendall(f"POST /v1/models/demo/stream?{query} HTTP/1.1\r\n"
+                 "Host: test\r\nTransfer-Encoding: chunked\r\n\r\n"
+                 .encode())
+    return sock
+
+
+def _send_samples(sock: socket.socket, samples) -> None:
+    for values in samples:
+        line = json.dumps({"values": list(map(float, values))}).encode()
+        sock.sendall(b"%x\r\n%s\n\r\n" % (len(line) + 1, line))
+
+
+def _read_until(sock: socket.socket, marker: bytes) -> bytes:
+    """Read until *marker* arrives (or the server closes); times out
+    with the socket."""
+    reply = b""
+    while marker not in reply:
+        chunk = sock.recv(65536)
+        if not chunk:
+            break
+        reply += chunk
+    return reply
+
+
+def _one_window(generator) -> list:
+    X, _ = generator.sample(np.array([1, 0]), np.random.default_rng(3))
+    return list(X[0].T)  # WINDOW samples of n_channels values
+
+
+def _surviving_streams(before: set, timeout: float = 5.0) -> list:
+    """Connection-handler and stream-reader threads started since
+    *before* that are still alive once *timeout* has passed (an empty
+    list as soon as none is)."""
+    deadline = time.monotonic() + timeout
+    while True:
+        alive = [thread for thread in threading.enumerate()
+                 if thread not in before and (
+                     thread.name == "stream-reader"
+                     or "process_request_thread" in thread.name)]
+        if not alive or time.monotonic() > deadline:
+            return alive
+        time.sleep(0.01)
+
+
+class TestResolveTiming:
+    """Window lines leave when their prediction resolves; the body
+    reader is bounded and ends with its connection."""
+
+    def test_window_line_leaves_without_the_next_sample(self, server,
+                                                         generator):
+        """Exactly one window's samples, then nothing: not another
+        sample, not the end of the body.  The window line still
+        arrives, because it is written when its prediction resolves."""
+        with _open_raw_stream(server.port, f"window={WINDOW}") as sock:
+            sock.settimeout(2.0)
+            _send_samples(sock, _one_window(generator))
+            reply = _read_until(sock, b'"kind": "window"')  # 2 s at most
+            assert b'"kind": "window"' in reply, reply[-300:]
+            sock.sendall(b"0\r\n\r\n")
+            reply += _read_until(sock, b"0\r\n\r\n")
+        assert b'"kind": "summary"' in reply
+
+    def test_stalled_handler_reads_at_most_the_bound_ahead(
+            self, server, monkeypatch):
+        """While the stream loop is stuck in its first ``feed``, the
+        reader frames at most the bound's worth of queued lines plus the
+        one it holds ahead of it, and no more; then the stream completes
+        normally."""
+        release = threading.Event()
+        real_feed = StreamScorer.feed
+
+        def stalled_feed(self, *args, **kwargs):
+            release.wait(10)
+            return real_feed(self, *args, **kwargs)
+
+        framed = []
+        real_iter_lines = _Handler._iter_lines
+
+        def counted(self, chunks):
+            for line in real_iter_lines(self, chunks):
+                framed.append(line)
+                yield line
+
+        monkeypatch.setattr(StreamScorer, "feed", stalled_feed)
+        monkeypatch.setattr(_Handler, "_iter_lines", counted)
+        bound = _Handler._READ_AHEAD
+        n_lines = 4 * bound
+        try:
+            with _open_raw_stream(server.port, f"window={WINDOW}") as sock:
+                _send_samples(sock, [[0.5, -0.5]] * n_lines)
+                sock.sendall(b"0\r\n\r\n")
+                deadline = time.monotonic() + 5
+                while len(framed) <= bound and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                time.sleep(0.2)  # a reader past the bound would show now
+                # The line in feed, then at most bound queued + 1 in hand
+                # (bound - 1 queued when the queue filled before the
+                # first take: the reader waits for half of it to drain).
+                assert bound + 1 <= len(framed) <= 1 + bound + 1
+                release.set()
+                reply = _read_until(sock, b"0\r\n\r\n")
+        finally:
+            release.set()
+        assert len(framed) == n_lines
+        summary = json.loads(reply.split(b"\r\n")[-4])
+        assert summary["kind"] == "summary"
+        assert summary["samples"] == n_lines
+
+    def test_wake_returns_at_once_with_the_queue_full(self):
+        """The resolve wake-up runs on the batcher thread: a full line
+        queue (its reader blocked for space) must never hold it up."""
+        inbox = _Inbox(4)
+        pulled = []
+
+        def lines():
+            while True:
+                pulled.append(b"line")
+                yield b"line"
+
+        reader = threading.Thread(target=inbox.fill, args=(lines(),),
+                                  daemon=True)
+        reader.start()
+        deadline = time.monotonic() + 5
+        while len(pulled) < 4 + 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.05)  # let the reader block on the full queue
+        waker = threading.Thread(target=inbox.wake)
+        waker.start()
+        waker.join(timeout=1)
+        assert not waker.is_alive(), "wake() waited on the full queue"
+        assert inbox.take() == b"line"  # lines first: a feed collects too
+        inbox.close()
+        reader.join(timeout=5)
+        assert not reader.is_alive()
+
+    def test_no_line_or_resolve_is_lost_under_thread_churn(self):
+        """A reader, a resolving batcher and the stream loop share one
+        inbox while the interpreter switches threads as often as it can:
+        every line arrives once and in order, and the loop takes an
+        event after the last resolve (a lost wake-up would leave it
+        blocked in ``take``)."""
+        n_lines, n_resolves = 2000, 500
+        inbox = _Inbox(8)
+        resolved = 0
+        body_done = threading.Event()
+
+        def body():
+            yield from (b"%d" % i for i in range(n_lines))
+            body_done.wait(30)
+
+        def resolve():
+            nonlocal resolved
+            for _ in range(n_resolves):
+                resolved += 1  # the future is done before its callback
+                inbox.wake()
+
+        got, seen = [], 0
+
+        def loop():
+            nonlocal seen
+            while len(got) < n_lines or seen < n_resolves:
+                event = inbox.take()
+                seen = resolved
+                if event is not None:
+                    got.append(int(event))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=inbox.fill, args=(body(),)),
+                   threading.Thread(target=resolve),
+                   threading.Thread(target=loop)]
+        try:
+            for thread in threads:
+                thread.start()
+            threads[2].join(timeout=30)
+            stuck = threads[2].is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            body_done.set()
+            inbox.wake()  # unblocks a stuck loop so the test can fail
+            for thread in threads:
+                thread.join(timeout=5)
+        assert not stuck, f"loop stuck with {len(got)} lines, {seen} resolves"
+        assert got == list(range(n_lines))
+        assert inbox.take() is None  # the unblocking wake-up above
+        assert inbox.take() is inbox.END
+
+    @pytest.mark.parametrize("ending", ["hangup", "reset", "malformed",
+                                        "detach", "takeover"])
+    def test_no_reader_outlives_its_stream(self, server, generator, ending):
+        """However the stream ends, its handler and reader threads are
+        gone with it — including while the reader is blocked in ``recv``
+        on a body the client never finished.  A reset still counts as a client
+        disconnect, never as an in-band error; a resume that takes the
+        session over ends the fenced stream at once, though its
+        connection never closed."""
+        before = set(threading.enumerate())
+        disconnects = server.service._client_disconnects
+        query = f"window={WINDOW}"
+        if ending in ("detach", "takeover"):
+            query += f"&session=reader-{time.monotonic_ns()}"
+        try:
+            with _open_raw_stream(server.port, query) as sock:
+                _send_samples(sock, _one_window(generator))
+                _read_until(sock, b'"kind": "window"')
+                if ending == "hangup":
+                    pass  # the with block closes the socket
+                elif ending == "reset":
+                    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                    struct.pack("ii", 1, 0))
+                elif ending == "malformed":
+                    sock.sendall(b"9\r\nnot json\n\r\n")
+                    reply = _read_until(sock, b"0\r\n\r\n")
+                    assert b'"kind": "error"' in reply
+                elif ending == "detach":
+                    server.draining = True
+                    _send_samples(sock, _one_window(generator)[:1])
+                    reply = _read_until(sock, b"0\r\n\r\n")
+                    assert b'"kind": "detach"' in reply
+                else:
+                    with _open_raw_stream(server.port,
+                                          f"{query}&resume=1") as other:
+                        reply = _read_until(sock, b"0\r\n\r\n")
+                        assert b"taken over" in reply
+                        other.sendall(b"0\r\n\r\n")
+                        reply = _read_until(other, b"0\r\n\r\n")
+                        assert b'"kind": "summary"' in reply
+        finally:
+            server.__dict__.pop("draining", None)
+        assert _surviving_streams(before) == []
+        if ending == "reset":
+            deadline = time.monotonic() + 5
+            while server.service._client_disconnects == disconnects \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server.service._client_disconnects == disconnects + 1
+
+
+class TestStreamClock:
+    """The sample clock ``t`` travels with each request line."""
+
+    @pytest.mark.parametrize("world", ["gappy-stream", "ragged-shift"])
+    def test_gap_worlds_window_like_in_process(self, registry, server,
+                                               world):
+        """Served over HTTP, a world whose clock jumps (outages,
+        dropouts, truncated series) yields the windows an in-process
+        scorer fed the same clock does."""
+        scenario = make_world(world, seed=0, n_series=60)
+        X, y = scenario.training_panel()
+        model = RocketClassifier(num_kernels=40, seed=0).fit(
+            prepare_panel(X), y)
+        name = f"clock-{world}"
+        registry.publish(model, name, metadata=model_metadata(
+            model, dataset="synthetic", preprocessing="znormalize+impute"))
+        samples = [(s.values, s.label, s.t) for s in scenario.source()]
+
+        with StreamScorer(server.service, name, window=scenario.window,
+                          hop=scenario.hop) as scorer:
+            local = []
+            for values, label, t in samples:
+                local += scorer.feed(values, label, t=t)
+            local += scorer.finish()
+        assert scorer.gaps > 0, "the world should have gaps"
+
+        events = list(stream_windows("127.0.0.1", server.port, name,
+                                     samples, window=scenario.window,
+                                     hop=scenario.hop))
+        served = [e for e in events if e["kind"] == "window"]
+        assert events[-1]["kind"] == "summary"
+        assert events[-1]["windows"] == len(local)
+        assert [(e["index"], e["start"], e["end"]) for e in served] \
+            == [(r.index, r.start, r.end) for r in local]
+
+    @pytest.mark.parametrize("clock, message", [
+        ((5, 5), "t must increase"),
+        ((5, 4), "t must increase"),
+        ((1.5,), '"t" must be an integer'),
+        (("7",), '"t" must be an integer'),
+    ])
+    def test_bad_clock_is_an_in_band_error(self, server, clock, message):
+        lines = [{"values": [0.0, 0.0], "t": t} for t in clock]
+        events = list(stream_windows("127.0.0.1", server.port, "demo",
+                                     lines, window=WINDOW))
+        assert events[-1]["kind"] == "error"
+        assert message in events[-1]["error"]
 
 
 class TestStreamCLI:
