@@ -86,7 +86,7 @@ class Adam(Optimizer):
 def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
     """Scale gradients in place so their global L2 norm is at most *max_norm*.
 
-    Returns the pre-clip norm, which callers can log to detect divergence.
+    Returns the pre-clip norm, which callers can log to see training blow up.
     """
     total = 0.0
     for p in params:

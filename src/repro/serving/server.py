@@ -1251,7 +1251,10 @@ class _Handler(BaseHTTPRequestHandler):
         length = self._admitted_length(
             "a stream body needs chunked transfer encoding or a "
             "Content-Length")
-        return self._iter_lines(self._iter_sized_body(length))
+        # read1 returns whatever has arrived, so a line is framed when it
+        # lands, not when 64 KiB more do.
+        return self._iter_lines(
+            self._iter_sized_body(length, self.rfile.read1))
 
     def _iter_chunked_body(self):
         while True:
@@ -1265,18 +1268,18 @@ class _Handler(BaseHTTPRequestHandler):
                     trailer = self.rfile.readline(1024)
                     if trailer in (b"\r\n", b"\n", b""):
                         return
-            # Sliced like a sized body, so the line cap bounds a chunk as
-            # it arrives; a short read (the connection died mid-chunk)
+            # Read in exact slices, so the line cap bounds a chunk as it
+            # arrives; a short read (the connection died mid-chunk)
             # marks the body truncated, which keeps a session resumable.
-            yield from self._iter_sized_body(size)
+            yield from self._iter_sized_body(size, self.rfile.read)
             if self._body_truncated:
                 return
             self.rfile.read(2)  # the chunk's trailing CRLF
 
-    def _iter_sized_body(self, length: int):
+    def _iter_sized_body(self, length: int, read):
         remaining = length
         while remaining > 0:
-            data = self.rfile.read(min(65536, remaining))
+            data = read(min(65536, remaining))
             if not data:
                 self._body_truncated = True  # died short of Content-Length
                 return

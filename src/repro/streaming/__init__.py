@@ -12,10 +12,9 @@ arrives in — a continuous multivariate stream scored as data flows:
   serving runtime's micro-batcher so streaming and batch traffic share
   backpressure, metrics and the LRU model lifecycle;
 * :mod:`repro.streaming.drift` — a fast-vs-slow EWMA drift monitor
-  flagging concept shifts from accuracy (when truth labels ride along),
-  from the model's top-1 confidence (when the serving path carries
-  probabilities — every registry family does), or from the
-  predicted-label distribution as a last resort;
+  flagging concept shifts from accuracy (when truth labels ride along)
+  and from the model's top-1 confidence (every served window carries
+  one);
 * :mod:`repro.streaming.session` — durable stream sessions: resume
   tokens, the versioned snapshot/restore codec, and the bounded
   server-side :class:`SessionStore` (the worker pool replicates its

@@ -2,7 +2,7 @@
 
 The monitor compares a **fast** and a **slow** exponentially weighted
 view of the same stream; when the recent past stops looking like the
-long-run past, the stream has shifted.  Three signals feed it, used
+long-run past, the stream has shifted.  Two signals feed it, used
 according to what the stream provides:
 
 * **accuracy** — when ground-truth labels ride along (replayed panels,
@@ -18,28 +18,20 @@ according to what the stream provides:
   emits keep the same mix.  Its blind spot is the complement of its
   strength: a shift that swaps inputs among *known* concepts (a clean
   prototype permutation) keeps the model confidently wrong — only the
-  accuracy signal can see that one;
-* **prediction distribution** — the fallback for callers that pass no
-  confidence to :meth:`DriftMonitor.update` (labels only): per-label
-  frequency EWMAs, compared by total-variation distance.  Once any
-  confidence observation has arrived this signal is **retired** — the
-  confidence EWMA supersedes the label-mix heuristic, so a served stream
-  never flags on it (its ``divergence`` is still reported).  The fast view
-  can move at most ``~0.66 x`` the true mix change before the slow view
-  catches up, so the default threshold targets *large* mix changes (a
-  class collapse); lower it for subtler shifts, at a false-positive
-  cost.  A shift that permutes the data without changing the predicted
-  mix (a symmetric rotation under a uniform class mix) is invisible to
-  this signal by construction.
+  accuracy signal can see that one.
+
+A caller that passes neither truth nor confidence feeds no signal, so
+its stream never flags.
 
 The slow view *mirrors* the fast view until ``warmup`` windows have
 passed — the long-run reference is a snapshot of a genuinely observed
-baseline, not a half-initialised average — so the divergence starts at
-zero and the ``shift`` flag cannot fire during warmup: a flag means the
-stream *changed*, not that the monitor just woke up.  The confidence and
-distribution signals additionally require ``persistence`` consecutive
-above-threshold windows, because an EWMA of a noisy per-window statistic
-wanders past any threshold occasionally; a real change stays there.
+baseline, not a half-initialised average — so both fast-vs-slow drops
+start at zero and the ``shift`` flag cannot fire during warmup: a flag
+means the stream *changed*, not that the monitor just woke up.  The
+confidence signal additionally requires ``persistence`` consecutive
+above-threshold windows, because an EWMA of a noisy per-window
+statistic wanders past any threshold occasionally; a real change stays
+there.
 """
 
 from __future__ import annotations
@@ -55,17 +47,16 @@ class DriftState:
     """The monitor's view after one window."""
 
     windows: int  # windows observed so far
-    divergence: float  # total-variation distance, fast vs slow label mix
     accuracy_fast: float | None  # None until a truth label is seen
     accuracy_slow: float | None
     shift: bool
-    signal: str | None  # "accuracy" | "confidence" | "distribution"
+    signal: str | None  # "accuracy" | "confidence"
     confidence_fast: float | None = None  # None until a confidence is seen
     confidence_slow: float | None = None
 
     def as_dict(self) -> dict:
         """JSON-ready form for the NDJSON wire format."""
-        out = {"divergence": round(self.divergence, 4), "shift": self.shift}
+        out = {"shift": self.shift}
         if self.accuracy_fast is not None:
             out["accuracy_fast"] = round(self.accuracy_fast, 4)
             out["accuracy_slow"] = round(self.accuracy_slow, 4)
@@ -86,9 +77,8 @@ class DriftMonitor:
         EWMA rates of the recent and long-run views.  The defaults react
         within ~10 windows and remember ~100.
     threshold:
-        Flag a shift when the fast-vs-slow divergence exceeds this — an
-        accuracy drop (slow minus fast) or a total-variation distance
-        between predicted-label mixes, whichever signal trips first.
+        Flag threshold of the accuracy signal: the fast accuracy EWMA
+        falling this far below the slow one.
     confidence_threshold:
         Flag threshold of the confidence signal: the fast mean top-1
         confidence falling this far below the slow one.  Confidence
@@ -103,9 +93,9 @@ class DriftMonitor:
         Windows during which the slow view shadows the fast one and no
         flag may fire.
     persistence:
-        Consecutive above-threshold windows the *confidence* and
-        *distribution* signals need before flagging (the accuracy signal
-        flags immediately — a genuine accuracy collapse is unambiguous).
+        Consecutive above-threshold windows the *confidence* signal
+        needs before flagging (the accuracy signal flags immediately — a
+        genuine accuracy collapse is unambiguous).
     """
 
     def __init__(self, *, alpha_fast: float = 0.15, alpha_slow: float = 0.02,
@@ -133,10 +123,7 @@ class DriftMonitor:
         self.warmup = int(warmup)
         self.persistence = int(persistence)
         self._windows = 0
-        self._diverging = 0  # consecutive windows past the threshold
         self._conf_diverging = 0  # consecutive confidence drops past threshold
-        self._freq_fast: dict[object, float] = {}
-        self._freq_slow: dict[object, float] = {}
         self._acc_fast: float | None = None
         self._acc_slow: float | None = None
         self._conf_fast: float | None = None
@@ -164,9 +151,7 @@ class DriftMonitor:
 
         Part of the stream-session codec
         (:mod:`repro.streaming.session`): scalars stay Python floats
-        (``json`` round-trips them bit-exactly via ``repr``) and the
-        per-label frequency EWMAs become ``[label, value]`` pairs so
-        integer labels survive JSON, which stringifies dict keys.  The
+        (``json`` round-trips them bit-exactly via ``repr``).  The
         tuning knobs ride along: a restored monitor must compare
         fast-vs-slow exactly as the one that wrote the snapshot did.
         """
@@ -174,12 +159,7 @@ class DriftMonitor:
             return {
                 "config": self.config(),
                 "windows": self._windows,
-                "diverging": self._diverging,
                 "conf_diverging": self._conf_diverging,
-                "freq_fast": [[label, value]
-                              for label, value in self._freq_fast.items()],
-                "freq_slow": [[label, value]
-                              for label, value in self._freq_slow.items()],
                 "acc_fast": self._acc_fast, "acc_slow": self._acc_slow,
                 "conf_fast": self._conf_fast, "conf_slow": self._conf_slow,
             }
@@ -200,12 +180,7 @@ class DriftMonitor:
             self.warmup = int(config["warmup"])
             self.persistence = int(config["persistence"])
             self._windows = int(state["windows"])
-            self._diverging = int(state["diverging"])
             self._conf_diverging = int(state["conf_diverging"])
-            self._freq_fast = {label: float(value)
-                               for label, value in state["freq_fast"]}
-            self._freq_slow = {label: float(value)
-                               for label, value in state["freq_slow"]}
             self._acc_fast = state["acc_fast"]
             self._acc_slow = state["acc_slow"]
             self._conf_fast = state["conf_fast"]
@@ -218,13 +193,12 @@ class DriftMonitor:
         Parameters
         ----------
         predicted:
-            The window's predicted label (any hashable / numpy scalar).
+            The window's predicted label; compared with *truth*.
         truth:
             Optional ground-truth label; feeds the accuracy signal.
         confidence:
             Optional top-1 probability of the prediction; feeds the
-            confidence signal and permanently retires the label-mix
-            fallback from the first observation on.
+            confidence signal.
 
         Returns
         -------
@@ -234,7 +208,6 @@ class DriftMonitor:
         """
         with self._lock:
             self._windows += 1
-            self._update_distribution(predicted)
             if truth is not None:
                 self._update_accuracy(float(predicted == truth))
             if confidence is not None:
@@ -242,22 +215,14 @@ class DriftMonitor:
             if self._windows <= self.warmup:
                 # The long-run reference is the state of the observed
                 # baseline, not a half-initialised average.
-                self._freq_slow = dict(self._freq_fast)
                 self._acc_slow = self._acc_fast
                 self._conf_slow = self._conf_fast
-            divergence = 0.5 * sum(
-                abs(self._freq_fast.get(label, 0.0)
-                    - self._freq_slow.get(label, 0.0))
-                for label in set(self._freq_fast) | set(self._freq_slow)
-            )
             drop = 0.0
             if self._acc_fast is not None:
                 drop = max(0.0, self._acc_slow - self._acc_fast)
             conf_drop = 0.0
             if self._conf_fast is not None:
                 conf_drop = max(0.0, self._conf_slow - self._conf_fast)
-            self._diverging = self._diverging + 1 \
-                if divergence > self.threshold else 0
             self._conf_diverging = self._conf_diverging + 1 \
                 if conf_drop > self.confidence_threshold else 0
             signal = None
@@ -266,32 +231,13 @@ class DriftMonitor:
                     signal = "accuracy"
                 elif self._conf_diverging >= self.persistence:
                     signal = "confidence"
-                elif self._conf_fast is None \
-                        and self._diverging >= self.persistence:
-                    # The label-mix heuristic serves only callers that
-                    # never report how sure the model is.
-                    signal = "distribution"
             return DriftState(
-                windows=self._windows, divergence=divergence,
+                windows=self._windows,
                 accuracy_fast=self._acc_fast, accuracy_slow=self._acc_slow,
                 confidence_fast=self._conf_fast,
                 confidence_slow=self._conf_slow,
                 shift=signal is not None, signal=signal,
             )
-
-    def _update_distribution(self, predicted) -> None:
-        predicted = _key(predicted)
-        for freq, alpha in ((self._freq_fast, self.alpha_fast),
-                            (self._freq_slow, self.alpha_slow)):
-            if not freq:
-                # Initialise both views to the first observation so the
-                # frequencies always sum to one and the divergence starts
-                # at zero — no warmup artifact from different alphas.
-                freq[predicted] = 1.0
-                continue
-            for label in list(freq):
-                freq[label] *= 1.0 - alpha
-            freq[predicted] = freq.get(predicted, 0.0) + alpha
 
     def _update_accuracy(self, correct: float) -> None:
         if self._acc_fast is None:
@@ -306,9 +252,3 @@ class DriftMonitor:
         else:
             self._conf_fast += self.alpha_fast * (confidence - self._conf_fast)
             self._conf_slow += self.alpha_slow * (confidence - self._conf_slow)
-
-
-def _key(label):
-    """Hashable, numpy-scalar-free form of a predicted label."""
-    item = getattr(label, "item", None)
-    return item() if callable(item) else label

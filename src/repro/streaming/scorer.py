@@ -30,7 +30,7 @@ import numpy as np
 
 from ..observability import get_tracer
 from ..serving.server import ServingError
-from .drift import DriftMonitor, DriftState, _key
+from .drift import DriftMonitor, DriftState
 from .session import (CODEC_VERSION, SessionError, StreamSession,
                       check_codec, decode_array, encode_array)
 
@@ -42,6 +42,12 @@ def expected_windows(n_samples: int, window: int, hop: int) -> int:
     if n_samples < window:
         return 0
     return (n_samples - window) // hop + 1
+
+
+def _key(label):
+    """Hashable, numpy-scalar-free form of a predicted label."""
+    item = getattr(label, "item", None)
+    return item() if callable(item) else label
 
 
 class SlidingWindower:

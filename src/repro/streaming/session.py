@@ -51,7 +51,7 @@ __all__ = [
 #: Version stamp written into every snapshot.  Bump it whenever the
 #: snapshot layout changes shape; ``check_codec`` rejects mismatches so
 #: a worker never restores state written by an incompatible build.
-CODEC_VERSION = 1
+CODEC_VERSION = 2
 
 
 class SessionError(Exception):

@@ -264,8 +264,8 @@ class TestRollbackPath:
 class TestUnlabelledConfidencePath:
     def test_ood_drift_flags_confidence_and_decides(self, tmp_path):
         """No truth labels anywhere: drift is detected by the confidence
-        EWMA (never the label-mix fallback), retraining self-trains on
-        predictions, and the decision uses the confidence criterion."""
+        EWMA, retraining self-trains on predictions, and the decision
+        uses the confidence criterion."""
         registry, generator = _publish(tmp_path)
         service = PredictionService(registry, max_queue=256)
         controller = AdaptationController(

@@ -266,7 +266,7 @@ class TestServingTraces:
     def test_debug_traces_endpoint_serves_the_recorder(self, registry,
                                                        problem):
         X, _ = problem
-        tracer, _ = tracer_with_recorder()
+        tracer, recorder = tracer_with_recorder()
         server = create_server(registry, port=0, tracer=tracer)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -278,6 +278,12 @@ class TestServingTraces:
                 headers={"Content-Type": "application/json"})
             with urllib.request.urlopen(request) as response:
                 assert response.status == 200
+            # The predict's root span ends after its response is written,
+            # so the recorder may complete its trace a moment later.
+            deadline = time.monotonic() + 2.0
+            while recorder.stats()["completed"] < 1 \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
             with urllib.request.urlopen(
                     f"{base}/v1/debug/traces?limit=5") as response:
                 payload = json.load(response)

@@ -90,6 +90,22 @@ class TestStreamEndpoint:
         assert np.mean([w["label"] == w["truth"] for w in pre]) >= 0.9
         assert np.mean([w["label"] == w["truth"] for w in post]) <= 0.3
 
+    def test_window_drift_names_two_signals(self, server, generator):
+        """Every window line's drift state holds the accuracy and
+        confidence views only, and a flag names one of those two."""
+        events = list(stream_windows("127.0.0.1", server.port, "demo",
+                                     _shifted_samples(generator),
+                                     window=WINDOW))
+        windows = [e for e in events if e["kind"] == "window"]
+        keys = {"shift", "signal", "accuracy_fast", "accuracy_slow",
+                "confidence_fast", "confidence_slow"}
+        assert all(set(w["drift"]) <= keys for w in windows)
+        assert all("confidence_fast" in w["drift"] for w in windows)
+        flagged = [w for w in windows if w["drift"]["shift"]]
+        assert flagged
+        assert {w["drift"]["signal"] for w in flagged} \
+            <= {"accuracy", "confidence"}
+
     def test_hop_and_version_tag(self, server, generator):
         source = SyntheticSource(generator=generator, n_series=4, seed=3)
         events = list(stream_windows(
@@ -306,6 +322,27 @@ class TestResolveTiming:
             sock.sendall(b"0\r\n\r\n")
             reply += _read_until(sock, b"0\r\n\r\n")
         assert b'"kind": "summary"' in reply
+
+    def test_content_length_window_line_leaves_before_the_body_ends(
+            self, server, generator):
+        """A ``Content-Length`` body is read as it arrives: one window's
+        samples under a length four times theirs get their window line
+        while the rest of the body is still owed."""
+        lines = b"".join(
+            json.dumps({"values": list(map(float, values))}).encode() + b"\n"
+            for values in _one_window(generator))
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=2.0) as sock:
+            sock.sendall(
+                f"POST /v1/models/demo/stream?window={WINDOW} HTTP/1.1\r\n"
+                f"Host: test\r\nContent-Length: {4 * len(lines)}\r\n\r\n"
+                .encode() + lines)
+            reply = _read_until(sock, b'"kind": "window"')  # 2 s at most
+            assert b'"kind": "window"' in reply, reply[-300:]
+            sock.sendall(b"\n" * (3 * len(lines)))  # blank lines end it
+            reply += _read_until(sock, b"0\r\n\r\n")
+        summary = json.loads(reply.split(b"\r\n")[-4])
+        assert summary["kind"] == "summary" and summary["windows"] == 1
 
     def test_stalled_handler_reads_at_most_the_bound_ahead(
             self, server, monkeypatch):

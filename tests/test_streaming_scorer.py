@@ -115,6 +115,19 @@ class TestStreamScorer:
             StreamScorer(service, "demo", window=WINDOW, adapter=object(),
                          session=StreamSession("s"))
 
+    def test_session_snapshot_holds_two_signals(self, service, problem):
+        """A session snapshot carries the monitor's accuracy and
+        confidence state under codec 2, and nothing else of it."""
+        X, y = problem
+        session = StreamSession("s")
+        with StreamScorer(service, "demo", window=WINDOW, hop=WINDOW,
+                          session=session) as scorer:
+            _drive(scorer, ReplaySource(X[:4], y[:4]))
+        assert session.state["codec"] == 2
+        assert set(session.state["monitor"]) == {
+            "config", "windows", "conf_diverging", "acc_fast", "acc_slow",
+            "conf_fast", "conf_slow"}
+
     def test_feed_after_close_rejected(self, service, problem):
         scorer = StreamScorer(service, "demo", window=WINDOW)
         scorer.close()
