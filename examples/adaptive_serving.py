@@ -21,8 +21,9 @@ Walks every layer of the confidence-aware serving stack in one process:
      (:func:`~repro.adaptation.adapt_stream`), so the adapted model
      scores the rest of the stream;
 
-4. print the decision, the registry state and the adaptation metrics
-   the server would export on ``/metrics``.
+4. print the decision, the registry state and the controller's own
+   adaptation counters (``controller.stats``; the loop runs in process,
+   so no server exports them).
 
 The same flow from the shell:
 
@@ -115,7 +116,7 @@ def main() -> None:
         print(f"registry: demo:{version.version} tags={version.tags} "
               f"adapted_from={version.metadata.get('adapted_from')}")
     stats = controller.stats
-    print(f"metrics: retrainings={stats.retrainings.value} "
+    print(f"stats: retrainings={stats.retrainings.value} "
           f"promotions={stats.promotions.value} "
           f"rollbacks={stats.rollbacks.value} "
           f"shadow_windows={stats.shadow_windows.value} "

@@ -1,10 +1,11 @@
 """Replay buffer: the recent windows a drift-triggered retrain learns from.
 
 A bounded FIFO of ``(window panel, label)`` pairs, fed by the adaptation
-controller with every resolved stream window.  When drift is confirmed
-the controller keeps feeding it through a *collecting* phase and then
-trains on the freshest ``n`` windows — all observed after the flag, so
-the canary learns the new concept, not a pre-shift mixture.
+controller with every resolved stream window.  It holds exactly one
+training set: when drift is confirmed the controller keeps feeding it
+through a *collecting* phase and then trains on everything it holds —
+all observed after the flag, so the canary learns the new concept, not
+a pre-shift mixture.
 
 Labels are whatever the stream provided: ground truth when it rides
 along, the stable model's own predictions otherwise (self-training — see
@@ -33,11 +34,11 @@ class ReplayBuffer:
     ----------
     capacity:
         Windows retained; the oldest is evicted when a new one arrives
-        at capacity.  Must cover at least one retrain's training set
-        (the controller's ``collect_windows``).
+        at capacity.  The controller sizes it to one retrain's training
+        set (its ``collect_windows``).
     """
 
-    def __init__(self, capacity: int = 256):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1; got {capacity}")
         self.capacity = int(capacity)
@@ -90,36 +91,29 @@ class ReplayBuffer:
                     return True
         return False
 
-    def label_counts(self, *, last: int | None = None) -> dict[int, int]:
-        """Windows held per label, optionally over only the freshest
-        *last* — retrain preconditions (≥ 2 classes) read this."""
+    def label_counts(self) -> dict[int, int]:
+        """Windows held per label — retrain preconditions (≥ 2 classes)
+        read this."""
         with self._lock:
             entries = list(self._entries)
-        if last is not None:
-            entries = entries[-last:]
         counts: dict[int, int] = {}
         for _, label, _ in entries:
             counts[label] = counts.get(label, 0) + 1
         return counts
 
-    def indices(self, *, last: int | None = None) -> list[int | None]:
+    def indices(self) -> list[int | None]:
         """Stream window indices of the held entries, oldest first.
 
-        Mirrors :meth:`snapshot`'s selection (*last* keeps the freshest
-        that many), so the controller can record exactly which stream
-        windows a retrain trained on in its audit-journal event.
-        Entries buffered without an index appear as ``None``.
+        Mirrors :meth:`snapshot`, so the controller can record exactly
+        which stream windows a retrain trained on in its audit-journal
+        event.  Entries buffered without an index appear as ``None``.
         """
         with self._lock:
-            entries = list(self._entries)
-        if last is not None:
-            entries = entries[-last:]
-        return [entry_index for _, _, entry_index in entries]
+            return [entry_index for _, _, entry_index in self._entries]
 
-    def snapshot(self, *, last: int | None = None
-                 ) -> tuple[np.ndarray, np.ndarray]:
+    def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
         """A stacked copy ``(X (n, channels, length), y (n,))``, oldest
-        first; *last* keeps only the freshest that many windows.
+        first.
 
         The copy is what the retrain thread consumes, so the stream can
         keep appending while training runs.  Raises ``ValueError`` when
@@ -127,8 +121,6 @@ class ReplayBuffer:
         """
         with self._lock:
             entries = list(self._entries)
-        if last is not None:
-            entries = entries[-last:]
         if not entries:
             raise ValueError("cannot snapshot an empty replay buffer")
         X = np.stack([panel for panel, _, _ in entries])

@@ -39,21 +39,22 @@ concept flips need truth or human labels).  The decision criteria are
 chosen to be honest about exactly that: an unlabelled promotion claims
 "more confident", never "more accurate".
 
-Every step is observable: ``/metrics`` gains retraining / promotion /
-rollback counters, shadow window + agreement counters, and live canary
-version/age gauges (see ``docs/operations.md``).
+Every step is observable in process: the controller's ``stats`` count
+retrainings, promotions, rollbacks, shadow windows and shadow
+agreements, and its audit journal records each step with its evidence.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..classifiers import make_classifier
 from ..observability import get_tracer
+from ..serving.metrics import Counter
 from ..serving.registry import model_metadata
 from ..serving.server import (
     PROTOCOL_PREPROCESSING,
@@ -63,8 +64,17 @@ from ..serving.server import (
 )
 from .buffer import ReplayBuffer
 
-__all__ = ["AdaptationController", "AdaptationDecision", "adapt_stream",
-           "family_trainer"]
+__all__ = ["AdaptationController", "AdaptationDecision", "AdaptationStats",
+           "adapt_stream", "family_trainer"]
+
+#: panels per shadow ``submit_many``: one coalesced canary predict per
+#: batch keeps the shadow phase's per-window overhead low, and
+#: comparisons lag live scoring by at most this many windows
+_SHADOW_BATCH = 8
+#: registry tags a canary is published under and promoted to
+_CANARY_TAG, _STABLE_TAG = "canary", "stable"
+#: bounded-blocking budget for shadow submits (the scorer's default)
+_QUEUE_TIMEOUT = 5.0
 
 #: serving-scale budget per publishable family (a drift response must fit
 #: in seconds, not hours).  ``repro train`` builds from the same table, so
@@ -154,18 +164,35 @@ class AdaptationDecision:
         return out
 
 
+@dataclass
+class AdaptationStats:
+    """One controller's running counters, read as ``controller.stats``."""
+
+    retrainings: Counter = field(default_factory=Counter)
+    promotions: Counter = field(default_factory=Counter)
+    rollbacks: Counter = field(default_factory=Counter)
+    shadow_windows: Counter = field(default_factory=Counter)
+    shadow_agreements: Counter = field(default_factory=Counter)
+
+    def record_shadow(self, *, agreed: bool) -> None:
+        """Count one shadow-scored window (and whether the models agreed)."""
+        self.shadow_windows.inc()
+        if agreed:
+            self.shadow_agreements.inc()
+
+
 class _ShadowTally:
     """Running comparison of canary vs stable over live windows."""
 
     def __init__(self):
-        self.windows = 0
-        self.agreements = 0
         self.truths = 0
         self.stable_correct = 0
         self.canary_correct = 0
         self.stable_confidence_sum = 0.0
         self.canary_confidence_sum = 0.0
-        self.indices: list[int] = []
+        #: one ``shadow_verdict`` field set per compared window, in window
+        #: order; journaled with the decision
+        self.verdicts: list[dict] = []
 
 
 class AdaptationController:
@@ -191,61 +218,40 @@ class AdaptationController:
     trainer:
         ``(X, y) -> fitted model``; default rebuilds the stable record's
         model family at serving-scale budget (:func:`family_trainer`).
-    registry:
-        Defaults to ``service.registry``.
-    buffer_capacity:
-        Replay-buffer size; must be ≥ ``collect_windows``.
     collect_windows:
         Windows gathered *after* the trigger flag before retraining —
         the canary's training set, guaranteed post-flag (hence
-        post-shift, up to the monitor's confirmation lag).
+        post-shift, up to the monitor's confirmation lag).  The replay
+        buffer holds exactly this many windows.
     shadow_windows:
         Live-window comparisons a canary must survive before the
-        promote/rollback decision.
-    shadow_batch:
-        Shadow submits are themselves micro-batched: panels accumulate
-        until this many are waiting and go to the canary in one
-        ``submit_many`` — one coalesced predict per batch instead of
-        one per window, which is what keeps the shadow phase's
-        per-window overhead low.  Comparisons lag live scoring by at
-        most this many windows.
+        promote/rollback decision.  Shadow panels go to the canary 8
+        at a time, each batch in one asynchronous ``submit_many``.
     cooldown_windows:
         Observed windows after a decision (or a failed retrain) during
         which new drift flags are ignored — the monitor's EWMAs need
         time to re-baseline, and decision storms help nobody.
-    canary_tag / promote_tag:
-        Registry tag names (``canary`` / ``stable``).
     background:
         Retrain off-thread (production) or inline (deterministic tests,
         benchmarks).  Off-thread, :meth:`wait` joins the retrain.
-    queue_timeout:
-        Bounded-blocking budget for shadow submits, like the scorer's.
     journal:
         Optional :class:`~repro.observability.AuditJournal`.  Every
         consequential step — retrain (with the trained-on window indices
-        and model digests), skipped/failed retrains, each shadow
-        verdict, and the final promotion or rollback (carrying the full
-        :class:`AdaptationDecision` evidence verbatim) — is logged as
-        one schema-validated event, so any decision this controller
-        makes is reconstructable offline from the journal alone.
+        and model digests), skipped/failed retrains, and the final
+        promotion or rollback (carrying the full
+        :class:`AdaptationDecision` evidence verbatim, preceded by the
+        canary's shadow verdicts in window order) — is logged as one
+        schema-validated event, so any decision this controller makes is
+        reconstructable offline from the journal alone.
     """
 
     def __init__(self, service, name: str, *, version=None, trainer=None,
-                 registry=None, buffer_capacity: int = 256,
                  collect_windows: int = 48, shadow_windows: int = 24,
-                 shadow_batch: int = 8, cooldown_windows: int = 50,
-                 canary_tag: str = "canary", promote_tag: str = "stable",
-                 background: bool = True, queue_timeout: float = 5.0,
+                 cooldown_windows: int = 50, background: bool = True,
                  journal=None):
         if collect_windows < 2:
             raise ValueError(
                 f"collect_windows must be >= 2; got {collect_windows}")
-        if shadow_batch < 1:
-            raise ValueError(f"shadow_batch must be >= 1; got {shadow_batch}")
-        if buffer_capacity < collect_windows:
-            raise ValueError(
-                f"buffer_capacity ({buffer_capacity}) must cover "
-                f"collect_windows ({collect_windows})")
         if shadow_windows < 1:
             raise ValueError(
                 f"shadow_windows must be >= 1; got {shadow_windows}")
@@ -253,22 +259,18 @@ class AdaptationController:
             raise ValueError(
                 f"cooldown_windows must be >= 0; got {cooldown_windows}")
         self.service = service
-        self.registry = registry if registry is not None else service.registry
+        self.registry = service.registry
         self.name = name
         self.stable = self.registry.record(name, version)
         self.trainer = trainer
-        self.buffer = ReplayBuffer(buffer_capacity)
+        self.buffer = ReplayBuffer(collect_windows)
         self.collect_windows = int(collect_windows)
         self.shadow_windows = int(shadow_windows)
-        self.shadow_batch = int(shadow_batch)
         self.cooldown_windows = int(cooldown_windows)
-        self.canary_tag = str(canary_tag)
-        self.promote_tag = str(promote_tag)
         self.background = bool(background)
-        self.queue_timeout = float(queue_timeout)
         self.journal = journal
         self.tracer = getattr(service, "tracer", None) or get_tracer()
-        self.stats = service.adaptation_stats(name)
+        self.stats = AdaptationStats()
         #: every promote/rollback, oldest first
         self.decisions: list[AdaptationDecision] = []
         #: retrain/collection failures (stringified), for observability
@@ -312,7 +314,6 @@ class AdaptationController:
                 self._cooldown -= 1
             state = self._state
         if state == "shadowing":
-            self.stats.canary_age.inc()
             self._shadow(panel, result)
             self._maybe_decide()
             return
@@ -345,8 +346,9 @@ class AdaptationController:
         labels land trains on truth instead of on self-training guesses
         — which is what makes unlabelled-stream adaptation sound under
         a real concept flip, not just covariate shift.  Returns ``False``
-        when the window has already been evicted from the replay buffer
-        (the label arrived too late to matter).
+        when the window has already left the replay buffer, which holds
+        the freshest ``collect_windows`` windows (the label arrived too
+        late to enter any retrain).
         """
         return self.buffer.relabel(int(index), truth)
 
@@ -388,7 +390,7 @@ class AdaptationController:
             self._collected += 1
             if self._collected < self.collect_windows:
                 return
-            counts = self.buffer.label_counts(last=self.collect_windows)
+            counts = self.buffer.label_counts()
             if len(counts) < 2:
                 # A one-class training set cannot be fitted; stand down
                 # and let a later flag (with a more diverse buffer) retry.
@@ -409,8 +411,8 @@ class AdaptationController:
                 return
             self._state = "retraining"
         self.stats.retrainings.inc()
-        X, y = self.buffer.snapshot(last=self.collect_windows)
-        indices = self.buffer.indices(last=self.collect_windows)
+        X, y = self.buffer.snapshot()
+        indices = self.buffer.indices()
         if self.background:
             self._thread = threading.Thread(
                 target=self._retrain, args=(X, y, indices), daemon=True,
@@ -444,7 +446,7 @@ class AdaptationController:
                 )
                 record = self.registry.publish(model, self.name,
                                                metadata=metadata,
-                                               tags=(self.canary_tag,))
+                                               tags=(_CANARY_TAG,))
         except Exception as error:  # noqa: BLE001 - the stream must survive
             self.errors.append(f"{type(error).__name__}: {error}")
             with self._lock:
@@ -475,8 +477,6 @@ class AdaptationController:
             self._backlog.clear()
             self._dropped_shadows = 0
             self._state = "shadowing"
-        self.stats.canary_version.set(record.version)
-        self.stats.canary_age.set(0)
 
     def _default_trainer(self):
         """Rebuild the stable record's family at serving-scale budget."""
@@ -498,19 +498,20 @@ class AdaptationController:
     def _shadow(self, panel: np.ndarray, result) -> None:
         """Queue *panel* for canary comparison against the stable result.
 
-        Panels accumulate into a shadow micro-batch (``shadow_batch``)
-        and go to the canary in one coalesced ``submit_many`` — one
-        predict call per batch keeps the per-window overhead low.
+        Panels accumulate into a shadow micro-batch of
+        ``_SHADOW_BATCH`` and go to the canary in one coalesced
+        ``submit_many`` — one predict call per batch keeps the
+        per-window overhead low.
         """
         flush = False
         with self._lock:
             if self._canary is None or self._tally is None:
                 return
-            if self._tally.windows + len(self._pending) \
+            if len(self._tally.verdicts) + len(self._pending) \
                     + len(self._backlog) >= self.shadow_windows:
                 return  # the decision quorum is already in flight
             self._backlog.append((panel, result))
-            flush = len(self._backlog) >= self.shadow_batch
+            flush = len(self._backlog) >= _SHADOW_BATCH
         if flush:
             self._flush_backlog()
         self._drain(block=False)
@@ -525,7 +526,7 @@ class AdaptationController:
         try:
             _, futures = self.service.submit(
                 self.name, [panel for panel, _ in backlog], canary.version,
-                queue_timeout=self.queue_timeout,
+                queue_timeout=_QUEUE_TIMEOUT,
             )
         except ServingError:
             with self._lock:
@@ -537,7 +538,7 @@ class AdaptationController:
                 for future, (_, result) in zip(futures, backlog))
 
     def _drain(self, block: bool) -> None:
-        """Fold resolved canary futures into the tally."""
+        """Fold resolved canary futures into the tally, in submit order."""
         timeout = getattr(self.service, "predict_timeout", 30.0)
         while True:
             with self._lock:
@@ -557,23 +558,18 @@ class AdaptationController:
             canary_confidence = float(outcome.proba.max())
             agreed = canary_label == stable_result.label
             self.stats.record_shadow(agreed=agreed)
-            if self.journal is not None:
-                self.journal.log(
-                    "shadow_verdict", model=self.name,
+            with self._lock:
+                tally = self._tally
+                if tally is None:
+                    return
+                tally.verdicts.append(dict(
                     window=int(stable_result.index),
                     stable_label=_jsonable(stable_result.label),
                     canary_label=_jsonable(canary_label),
                     agree=bool(agreed),
                     stable_confidence=stable_result.confidence,
                     canary_confidence=canary_confidence,
-                )
-            with self._lock:
-                tally = self._tally
-                if tally is None:
-                    return
-                tally.windows += 1
-                tally.agreements += int(agreed)
-                tally.indices.append(stable_result.index)
+                ))
                 if stable_result.truth is not None:
                     tally.truths += 1
                     tally.stable_correct += \
@@ -590,26 +586,28 @@ class AdaptationController:
             if tally is None:
                 return
             outstanding = len(self._pending) + len(self._backlog)
-        if tally.windows + outstanding < self.shadow_windows:
+        if len(tally.verdicts) + outstanding < self.shadow_windows:
             return
         self._flush_backlog()  # the quorum is queued; get it all in flight
         self._drain(block=True)
         with self._lock:
             tally = self._tally
-            if tally is None or tally.windows < self.shadow_windows:
+            if tally is None or len(tally.verdicts) < self.shadow_windows:
                 return  # drops shrank the quorum; keep shadowing
             self._tally = None  # claim the decision
         self._decide(tally)
 
     def _decide(self, tally: _ShadowTally) -> None:
-        """Promote or roll back the canary from a complete tally."""
-        agreement = tally.agreements / tally.windows
+        """Promote or roll back the canary from a complete tally, and
+        journal its shadow verdicts, in window order, then the decision."""
+        windows = len(tally.verdicts)
+        agreements = sum(verdict["agree"] for verdict in tally.verdicts)
         stable_acc = canary_acc = None
         if tally.truths:
             stable_acc = tally.stable_correct / tally.truths
             canary_acc = tally.canary_correct / tally.truths
-        stable_conf = tally.stable_confidence_sum / tally.windows
-        canary_conf = tally.canary_confidence_sum / tally.windows
+        stable_conf = tally.stable_confidence_sum / windows
+        canary_conf = tally.canary_confidence_sum / windows
         if tally.truths >= max(1, self.shadow_windows // 2):
             promote = canary_acc >= stable_acc
             criterion = "accuracy"
@@ -620,16 +618,15 @@ class AdaptationController:
             action="promote" if promote else "rollback",
             canary_version=self._canary.version,
             stable_version=self.stable.version,
-            criterion=criterion, agreement=agreement,
-            shadow_windows=tally.windows,
+            criterion=criterion, agreement=agreements / windows,
+            shadow_windows=windows,
             trigger_signal=self._trigger_signal,
             stable_accuracy=stable_acc, canary_accuracy=canary_acc,
             stable_confidence=stable_conf, canary_confidence=canary_conf,
-            shadow_indices=tuple(tally.indices),
+            shadow_indices=tuple(v["window"] for v in tally.verdicts),
         )
         if promote:
-            self.registry.tag(self.name, self._canary.version,
-                              self.promote_tag)
+            self.registry.tag(self.name, self._canary.version, _STABLE_TAG)
             self.stats.promotions.inc()
             # The stable concept changed: pre-promotion windows are stale
             # training data for any future retrain.
@@ -637,6 +634,8 @@ class AdaptationController:
         else:
             self.stats.rollbacks.inc()
         if self.journal is not None:
+            for verdict in tally.verdicts:
+                self.journal.log("shadow_verdict", model=self.name, **verdict)
             self.journal.log(
                 "promotion" if promote else "rollback", model=self.name,
                 stable_version=self.stable.version,
@@ -645,17 +644,15 @@ class AdaptationController:
                 canary_digest=self._canary.digest,
                 decision=decision.as_dict(),
                 evidence={
-                    "shadow_windows": tally.windows,
-                    "agreements": tally.agreements,
+                    "shadow_windows": windows,
+                    "agreements": agreements,
                     "truths": tally.truths,
                     # every shadow window compares confidences
-                    "confidences": tally.windows,
+                    "confidences": windows,
                     "dropped_shadows": self._dropped_shadows,
-                    "shadow_indices": [int(i) for i in tally.indices],
+                    "shadow_indices": list(decision.shadow_indices),
                 },
             )
-        self.stats.canary_version.set(0)
-        self.stats.canary_age.set(0)
         with self._lock:
             self.decisions.append(decision)
             self._canary = None

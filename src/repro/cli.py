@@ -757,7 +757,7 @@ def _cmd_adapt(args) -> int:
                     emit({"kind": "swap", "version": event.version,
                           "window": scorer.windows})
         controller.wait(timeout=60.0)
-        stats = service.adaptation_stats(args.name)
+        stats = controller.stats
         emit({
             "kind": "summary", "model": args.name, "windows": scorer.windows,
             "shifts": scorer.shifts, "retrainings": stats.retrainings.value,

@@ -256,7 +256,7 @@ def _replay(scenario: Scenario, service, name: str, *, seed: int,
                 else:
                     dropped += 1
 
-    stats = service.adaptation_stats(name)
+    stats = controller.stats
     return _score(scenario, seed=seed, windows=scorer.windows,
                   gaps=scorer.gaps, flags=flags, outcomes=outcomes,
                   first_affected=first_affected,

@@ -1,13 +1,15 @@
 """Decision-audit journal: every adaptation decision, with its evidence.
 
-When a canary promotes at 3am, ``/metrics`` says *that* it happened;
-this journal says *why*.  Every consequential event in the
-drift→retrain→shadow→promote loop is appended as one JSON object per
-line, carrying the evidence the decision was made from — EWMA fast/slow
-values and thresholds for drift flags, window indices and trigger
-signals for retrains, agreement and confidence statistics plus model
-digests for verdicts — so any decision is reconstructable offline from
-the journal alone, with no access to the process that made it.
+When a canary promotes at 3am, this journal says *why*.  Every
+consequential event in the drift→retrain→shadow→promote loop is
+appended as one JSON object per line, carrying the evidence the
+decision was made from — EWMA fast/slow values and thresholds for drift
+flags, window indices and trigger signals for retrains, agreement and
+confidence statistics plus model digests for verdicts — so any decision
+is reconstructable offline from the journal alone, with no access to
+the process that made it.  A canary's shadow verdicts are logged
+together with its decision, in window order, so an inline run writes
+the same journal every time.
 
 Event kinds and their required fields are pinned in
 :data:`EVENT_SCHEMA`; :func:`validate_event` enforces them at write and

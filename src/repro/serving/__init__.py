@@ -29,7 +29,6 @@ from .pool import ServingPool
 from .registry import ModelRecord, ModelRegistry, model_metadata, validate_reference
 from .server import (
     PROTOCOL_PREPROCESSING,
-    AdaptationStats,
     Prediction,
     PredictionServer,
     PredictionService,
@@ -41,7 +40,6 @@ from .server import (
 )
 
 __all__ = [
-    "AdaptationStats",
     "BatcherStats",
     "Histogram",
     "MicroBatcher",

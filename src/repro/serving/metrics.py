@@ -118,12 +118,6 @@ class Gauge:
         with self._lock:
             self._value -= amount
 
-    def set(self, value: int) -> None:
-        """Overwrite the level — for gauges that track an identity (the
-        live canary version) rather than a running delta."""
-        with self._lock:
-            self._value = int(value)
-
     @property
     def value(self) -> int:
         """The gauge's current level (may be negative)."""

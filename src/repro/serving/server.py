@@ -44,8 +44,9 @@ The runtime is load-safe by construction:
   plus a client-disconnect counter; ``access_log=True`` writes one
   structured JSON line per request to stderr through the shared
   :mod:`repro.observability.logging` logger; with tracing enabled every
-  request records per-stage spans into the flight recorder served at
-  ``GET /v1/debug/traces``.
+  POST request records per-stage spans into the flight recorder served
+  at ``GET /v1/debug/traces`` (GETs are not traced, so scrapes and
+  health checks never crowd out the requests an operator wants).
 """
 
 from __future__ import annotations
@@ -84,9 +85,9 @@ from .metrics import (
 )
 from .registry import ModelRecord, ModelRegistry
 
-__all__ = ["AdaptationStats", "Prediction", "PredictionService",
-           "PredictionServer", "SERVICE_FAMILIES", "ServingError",
-           "StreamStats", "build_service", "create_server", "prepare_panel",
+__all__ = ["Prediction", "PredictionService", "PredictionServer",
+           "SERVICE_FAMILIES", "ServingError", "StreamStats",
+           "build_service", "create_server", "prepare_panel",
            "PROTOCOL_PREPROCESSING"]
 
 #: metadata value written by ``repro train`` — the training-protocol
@@ -178,39 +179,12 @@ class StreamStats:
             self.confidence.observe(confidence)
 
 
-@dataclass
-class AdaptationStats:
-    """Per-model-*name* adaptation counters for ``/metrics``.
-
-    Adaptation is a property of a model's lineage, not of one version —
-    retraining mints new versions — so these live one per name for the
-    process lifetime, updated by the
-    :class:`~repro.adaptation.AdaptationController` driving that name.
-    """
-
-    retrainings: Counter = field(default_factory=Counter)
-    promotions: Counter = field(default_factory=Counter)
-    rollbacks: Counter = field(default_factory=Counter)
-    shadow_windows: Counter = field(default_factory=Counter)
-    shadow_agreements: Counter = field(default_factory=Counter)
-    #: version currently tagged canary (0 = no live canary)
-    canary_version: Gauge = field(default_factory=Gauge)
-    #: live windows scored since the current canary was published
-    canary_age: Gauge = field(default_factory=Gauge)
-
-    def record_shadow(self, *, agreed: bool) -> None:
-        """Count one shadow-scored window (and whether the models agreed)."""
-        self.shadow_windows.inc()
-        if agreed:
-            self.shadow_agreements.inc()
-
-
 #: Every family :meth:`PredictionService.metrics_text` renders, in
 #: exposition order: name, kind, help, label source and value getter.
 #: The label sources are gathered per scrape — ``batcher``, ``stream``
-#: and ``queue`` entries are labelled by model version, ``lineage`` by
-#: model name, ``stage`` by version and stage, ``status`` by HTTP status;
-#: ``process`` and ``sessions`` carry one unlabelled entry each.
+#: and ``queue`` entries are labelled by model version, ``stage`` by
+#: version and stage, ``status`` by HTTP status; ``process`` and
+#: ``sessions`` carry one unlabelled entry each.
 SERVICE_FAMILIES = tuple(FamilySpec(*row) for row in (
     ("repro_serving_requests_total", "counter",
      "Series admitted to a model's micro-batcher.", "batcher",
@@ -237,29 +211,8 @@ SERVICE_FAMILIES = tuple(FamilySpec(*row) for row in (
     ("repro_serving_stream_shifts_total", "counter",
      "Windows the drift monitor flagged as shifted.", "stream",
      attrgetter("shifts.value")),
-    ("repro_serving_adaptation_retrainings_total", "counter",
-     "Canary retrainings triggered by confirmed drift flags.", "lineage",
-     attrgetter("retrainings.value")),
-    ("repro_serving_adaptation_promotions_total", "counter",
-     "Canaries promoted to the stable tag.", "lineage",
-     attrgetter("promotions.value")),
-    ("repro_serving_adaptation_rollbacks_total", "counter",
-     "Canaries rolled back after shadow scoring.", "lineage",
-     attrgetter("rollbacks.value")),
-    ("repro_serving_shadow_windows_total", "counter",
-     "Live windows shadow-scored against a canary.", "lineage",
-     attrgetter("shadow_windows.value")),
-    ("repro_serving_shadow_agreements_total", "counter",
-     "Shadow windows where canary and stable predicted alike.", "lineage",
-     attrgetter("shadow_agreements.value")),
-    ("repro_serving_canary_version", "gauge",
-     "Version currently under canary evaluation (0 = none).", "lineage",
-     attrgetter("canary_version.value")),
-    ("repro_serving_canary_age_windows", "gauge",
-     "Live windows scored since the current canary was published.", "lineage",
-     attrgetter("canary_age.value")),
     ("repro_serving_stream_confidence", "histogram",
-     "Top-1 probability per scored window (proba-serving models).", "stream",
+     "Top-1 probability per scored window.", "stream",
      lambda stream: stream.confidence.snapshot()
      if stream.confidence.count else None),
     ("repro_serving_batch_size", "histogram", "Coalesced panel sizes.",
@@ -381,8 +334,6 @@ class PredictionService:
         self._classes: dict[tuple[str, int], list] = {}
         #: per-version streaming stats (same lifetime rules)
         self._streams: dict[tuple[str, int], StreamStats] = {}
-        #: per-*name* adaptation stats (retraining is a lineage property)
-        self._adaptation: dict[str, AdaptationStats] = {}
         self._http_responses: dict[int, int] = {}
         #: per-version per-stage latency histograms (queue_wait, assemble,
         #: predict, serialize) — always on; the cost is one observe per
@@ -552,11 +503,6 @@ class PredictionService:
         stats.active.inc()
         return record, stats
 
-    def adaptation_stats(self, name: str) -> AdaptationStats:
-        """The per-name :class:`AdaptationStats`, created on first use."""
-        with self._lock:
-            return self._adaptation.setdefault(name, AdaptationStats())
-
     def close_stream(self, record: ModelRecord) -> None:
         """Count the stream on *record* as closed (active-gauge pair of
         :meth:`open_stream`; idempotence is the scorer's job)."""
@@ -654,8 +600,6 @@ class PredictionService:
                        for key, stream in sorted(self._streams.items())]
             queues = [(_version_labels(key), batcher.queue_depth)
                       for key, (_, batcher) in sorted(self._loaded.items())]
-            lineages = [({"model": name}, stat)
-                        for name, stat in sorted(self._adaptation.items())]
             stages = [({**_version_labels(key), "stage": stage}, hist)
                       for key, hists in sorted(self._stage.items())
                       for stage, hist in sorted(hists.items())]
@@ -666,7 +610,7 @@ class PredictionService:
                 client_disconnects=self._client_disconnects)
         return render_families(SERVICE_FAMILIES, {
             "batcher": batchers, "stream": streams, "queue": queues,
-            "lineage": lineages, "stage": stages, "status": statuses,
+            "stage": stages, "status": statuses,
             "process": [(None, process)], "sessions": [(None, self.sessions)],
         })
 
@@ -859,7 +803,12 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------ #
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._traced(self._handle_get)
+        # Untraced: scrapes, health checks and trace polls would fill the
+        # flight recorder with their own reads.  The reset keeps a GET off
+        # the span of a POST served earlier on this keep-alive connection.
+        self._started = time.monotonic()
+        self._span = None
+        self._handle_get()
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         self._traced(self._handle_post)
@@ -873,7 +822,7 @@ class _Handler(BaseHTTPRequestHandler):
             handle()
 
     def _handle_get(self) -> None:
-        """Route one GET request (inside the request's root span)."""
+        """Route one GET request."""
         url = urllib.parse.urlsplit(self.path)
         try:
             if url.path == "/healthz":

@@ -10,9 +10,15 @@ seeds.
 import numpy as np
 import pytest
 
-from repro.adaptation import AdaptationController, ReplayBuffer, family_trainer
+from repro.adaptation import (
+    AdaptationController,
+    ReplayBuffer,
+    adapt_stream,
+    family_trainer,
+)
 from repro.classifiers import RocketClassifier
 from repro.data.generators import MTSGenerator
+from repro.observability import AuditJournal
 from repro.serving import (
     PROTOCOL_PREPROCESSING,
     ModelRegistry,
@@ -71,16 +77,6 @@ class TestReplayBuffer:
         np.testing.assert_array_equal(y, [2, 3, 4])  # oldest first, freshest 3
         assert X.shape == (3, 1, 4)
 
-    def test_snapshot_last_n(self):
-        buffer = ReplayBuffer(capacity=10)
-        for i in range(6):
-            buffer.add(np.full((2, 3), float(i)), i % 2)
-        X, y = buffer.snapshot(last=2)
-        np.testing.assert_array_equal(y, [0, 1])
-        np.testing.assert_array_equal(X[0], np.full((2, 3), 4.0))
-        assert buffer.label_counts(last=2) == {0: 1, 1: 1}
-        assert buffer.label_counts() == {0: 3, 1: 3}
-
     def test_clear_and_validation(self):
         buffer = ReplayBuffer(capacity=2)
         with pytest.raises(ValueError):
@@ -128,9 +124,7 @@ class TestControllerValidation:
         service = PredictionService(registry)
         try:
             for kwargs in (dict(collect_windows=1),
-                           dict(buffer_capacity=4, collect_windows=8),
                            dict(shadow_windows=0),
-                           dict(shadow_batch=0),
                            dict(cooldown_windows=-1)):
                 with pytest.raises(ValueError):
                     AdaptationController(service, "demo", **kwargs)
@@ -180,20 +174,12 @@ class TestPromotePath:
         assert canary.metadata["preprocessing"] == PROTOCOL_PREPROCESSING
 
     def test_decision_visible_in_metrics(self, outcome):
-        _, service, controller, _, _ = outcome
+        _, _, controller, _, _ = outcome
         stats = controller.stats
         assert stats.retrainings.value == 1
         assert stats.promotions.value == 1
         assert stats.rollbacks.value == 0
         assert stats.shadow_windows.value == 16
-        assert stats.canary_version.value == 0  # decision made: none live
-        text = service.metrics_text()
-        assert 'repro_serving_adaptation_promotions_total{model="demo"} 1' \
-            in text
-        assert 'repro_serving_adaptation_retrainings_total{model="demo"} 1' \
-            in text
-        assert 'repro_serving_shadow_windows_total{model="demo"} 16' in text
-        assert 'repro_serving_canary_version{model="demo"} 0' in text
 
     def test_shadow_scoring_parity(self, outcome):
         """The shadow agreement must equal an independent re-score of the
@@ -217,9 +203,61 @@ class TestPromotePath:
     def test_buffer_cleared_after_promotion(self, outcome):
         _, _, controller, _, _ = outcome
         # Post-promotion windows kept arriving (cooldown), so the buffer
-        # holds only windows observed after the promotion decision.
+        # holds only windows observed after the promotion decision, up to
+        # its one training set.
         decision_index = controller.decisions[0].shadow_indices[-1]
-        assert len(controller.buffer) == 160 - (decision_index + 1)
+        held = controller.buffer.indices()
+        assert held and min(held) > decision_index
+        assert len(held) == min(30, 160 - (decision_index + 1))
+
+
+class _SettledService(PredictionService):
+    """Answers every submit before returning it, so each shadow batch's
+    futures are done by the time the controller next looks at them."""
+
+    def submit(self, *args, **kwargs):
+        record, futures = super().submit(*args, **kwargs)
+        for future in futures:
+            future.result()
+        return record, futures
+
+
+class TestShadowVerdictJournal:
+    def test_verdicts_land_with_their_decision(self, tmp_path):
+        """However early the canary answers, a canary's shadow verdicts
+        are journaled together, in window order, right before its
+        decision: the journal does not depend on future timing."""
+        registry, generator = _publish(tmp_path)
+        service = _SettledService(registry, max_queue=256)
+        journal = AuditJournal()
+        controller = AdaptationController(
+            service, "demo", background=False,
+            collect_windows=30, shadow_windows=16, cooldown_windows=500,
+            trainer=family_trainer("rocket", num_kernels=100),
+            journal=journal,
+        )
+        source = SyntheticSource(generator=generator, n_series=160, seed=1,
+                                 shift_at=40 * WINDOW)
+        samples = ((sample.values, sample.label, sample.t)
+                   for sample in source)
+        try:
+            with StreamScorer(service, "demo", window=WINDOW,
+                              adapter=controller, journal=journal) as scorer:
+                for _ in adapt_stream(scorer, samples):
+                    pass
+        finally:
+            service.close()
+        [decision] = controller.decisions
+        assert decision.action == "promote"
+        events = journal.events()
+        kinds = [event["kind"] for event in events]
+        start, end = kinds.index("retrain"), kinds.index("promotion")
+        shadow = events[start + 1:end]
+        verdicts = [e for e in shadow if e["kind"] == "shadow_verdict"]
+        assert len(verdicts) == decision.shadow_windows == 16
+        assert shadow[-len(verdicts):] == verdicts
+        assert [v["window"] for v in verdicts] \
+            == list(decision.shadow_indices)
 
 
 class TestRollbackPath:

@@ -67,15 +67,6 @@ def fixed_service(root: Path, *, scale: int = 1) -> PredictionService:
             stream.record_window(shift=index == 1, confidence=confidence)
         if not confidences:
             stream.record_window()
-    adaptation = service.adaptation_stats("alpha")
-    adaptation.retrainings.inc(scale)
-    adaptation.promotions.inc()
-    adaptation.rollbacks.inc(2)
-    adaptation.record_shadow(agreed=True)
-    adaptation.record_shadow(agreed=False)
-    adaptation.canary_version.set(3)
-    adaptation.canary_age.set(17 * scale)
-
     for stage, seconds in (("queue_wait", 0.0003), ("assemble", 0.002),
                            ("predict", 0.0007), ("serialize", 0.00004)):
         service.observe_stage(alpha, stage, seconds)

@@ -7,6 +7,7 @@ request producing a complete ``http.request → serve.predict →
 batcher.*`` trace inspectable via ``GET /v1/debug/traces``.
 """
 
+import http.client
 import json
 import threading
 import time
@@ -300,6 +301,48 @@ class TestServingTraces:
                     f"{base}/v1/debug/traces?limit=1&slowest=1") as response:
                 assert len(json.load(response)["traces"]) == 1
         finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+
+    def test_get_requests_are_not_traced(self, registry, problem):
+        """Scrapes, health checks and trace polls leave the flight
+        recorder to the requests worth tracing, and a GET served after a
+        POST on one keep-alive connection leaves the POST's trace as it
+        was."""
+        X, _ = problem
+        tracer, recorder = tracer_with_recorder()
+        server = create_server(registry, port=0, tracer=tracer)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        connection = http.client.HTTPConnection("127.0.0.1", server.port,
+                                                timeout=10)
+
+        def request(method, path, body=None):
+            connection.request(method, path, body=body,
+                               headers={"Content-Type": "application/json"})
+            response = connection.getresponse()
+            response.read()
+            return response.status
+
+        try:
+            for path in ("/metrics", "/healthz", "/v1/models",
+                         "/v1/debug/traces"):
+                assert request("GET", path) == 200
+            assert recorder.stats()["completed"] == 0
+            body = json.dumps({"series": X[0].tolist()}).encode()
+            assert request("POST", "/v1/models/demo/predict", body) == 200
+            # Same connection: the server reads this GET only after the
+            # POST's handler, and with it the POST's root span, is done.
+            assert request("GET", "/no/such/route") == 404
+            assert recorder.stats()["completed"] == 1
+            [trace] = recorder.snapshot()
+            root = next(span for span in trace["spans"]
+                        if span["name"] == "http.request")
+            assert root["attributes"]["method"] == "POST"
+            assert root["attributes"]["status"] == 200
+        finally:
+            connection.close()
             server.shutdown()
             server.server_close()
             thread.join(timeout=10)
