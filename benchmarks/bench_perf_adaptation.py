@@ -14,9 +14,14 @@ cost.  This bench measures exactly that:
   canary is live so the one-off retrain cost is excluded (it is
   reported separately).
 
-The acceptance target is < 1.2x per-window latency while shadowing; the
-bench asserts a regression bar of 1.5x to stay robust to container
-noise and records the measured ratio in ``benchmarks/results/``.
+One measured segment lasts a few tenths of a second, so a single ratio
+moves by tens of percent with host scheduling.  The bench therefore runs
+``PAIRS`` plain/shadowing pairs, each run on a fresh service and the
+order alternating from pair to pair, and judges the median of the
+per-pair ratios.  The acceptance target is < 1.2x per-window latency
+while shadowing; the bench asserts a regression bar of 1.5x on the
+median and records the median, the quartiles and every pair's ratio in
+``benchmarks/results/``.
 """
 
 import time
@@ -40,8 +45,8 @@ from repro.streaming import DriftMonitor, StreamScorer, SyntheticSource
 WINDOW = 32
 KERNELS = 100
 N_SERIES = 400  # windows per measured stream
-REPEATS = 2  # best-of-N to damp scheduler noise
-REGRESSION_BAR = 1.5  # hard assert; the design target is 1.2
+PAIRS = 9  # plain/shadowing pairs; the median ratio is judged
+REGRESSION_BAR = 1.5  # hard assert on the median; the design target is 1.2
 
 
 def _published_registry(tmp):
@@ -108,50 +113,54 @@ def _time_shadowing(service, generator):
     return elapsed, n, retrain_elapsed
 
 
+def _on_fresh_service(registry, run, generator):
+    service = PredictionService(registry, max_queue=1024)
+    try:
+        return run(service, generator)
+    finally:
+        service.close()
+
+
 def test_adaptation_overhead(tmp_path):
     registry, generator = _published_registry(tmp_path / "registry")
 
-    plain_best = shadow_best = None
-    retrain_elapsed = 0.0
-    for _ in range(REPEATS):
-        service = PredictionService(registry, max_queue=1024)
-        try:
-            plain = _time_plain(service, generator)
-            if plain_best is None or plain[0] < plain_best[0]:
-                plain_best = plain
-        finally:
-            service.close()
-        service = PredictionService(registry, max_queue=1024)
-        try:
-            elapsed, n, retrain = _time_shadowing(service, generator)
-            if shadow_best is None or elapsed < shadow_best[0]:
-                shadow_best = (elapsed, n)
-                retrain_elapsed = retrain
-        finally:
-            service.close()
+    pairs = []  # (plain per-window s, shadow per-window s, retrain s)
+    for pair in range(PAIRS):
+        # Alternate the order, so a drift in host speed over the run
+        # does not land on one side only.
+        if pair % 2:
+            shadow = _on_fresh_service(registry, _time_shadowing, generator)
+            plain = _on_fresh_service(registry, _time_plain, generator)
+        else:
+            plain = _on_fresh_service(registry, _time_plain, generator)
+            shadow = _on_fresh_service(registry, _time_shadowing, generator)
+        pairs.append((plain[0] / plain[1], shadow[0] / shadow[1], shadow[2]))
 
-    plain_per_window = plain_best[0] / plain_best[1]
-    shadow_per_window = shadow_best[0] / shadow_best[1]
-    ratio = shadow_per_window / plain_per_window
+    ratios = [shadow / plain for plain, shadow, _ in pairs]
+    q1, median, q3 = np.percentile(ratios, [25, 50, 75])
+    plain_median = float(np.median([plain for plain, _, _ in pairs]))
+    shadow_median = float(np.median([shadow for _, shadow, _ in pairs]))
+    retrain_median = float(np.median([retrain for _, _, retrain in pairs]))
     lines = [
         f"workload: {N_SERIES} tumbling windows of {WINDOW} samples, "
-        f"ROCKET {KERNELS} kernels, best of {REPEATS}",
+        f"ROCKET {KERNELS} kernels, {PAIRS} plain/shadowing pairs "
+        f"(order alternating, a fresh service per run)",
         "",
-        f"plain streaming:    {plain_best[1]:5d} windows, "
-        f"{1e6 * plain_per_window:8.1f} us/window "
-        f"({plain_best[1] / plain_best[0]:7.0f} windows/s)",
-        f"shadow scoring:     {shadow_best[1]:5d} windows, "
-        f"{1e6 * shadow_per_window:8.1f} us/window "
-        f"({shadow_best[1] / shadow_best[0]:7.0f} windows/s)",
-        f"per-window overhead: {ratio:.3f}x  (design target < 1.2x, "
-        f"regression bar {REGRESSION_BAR}x)",
-        f"one-off retrain + canary publish: {retrain_elapsed * 1e3:.0f} ms "
-        f"(excluded from the per-window numbers)",
+        f"plain streaming:    {1e6 * plain_median:8.1f} us/window "
+        f"(median of {PAIRS})",
+        f"shadow scoring:     {1e6 * shadow_median:8.1f} us/window "
+        f"(median of {PAIRS})",
+        f"per-window overhead: median {median:.3f}x, quartiles "
+        f"{q1:.3f}-{q3:.3f}x  (design target < 1.2x, regression bar "
+        f"{REGRESSION_BAR}x on the median)",
+        "per-pair ratios: " + ", ".join(f"{ratio:.3f}" for ratio in ratios),
+        f"one-off retrain + canary publish: {retrain_median * 1e3:.0f} ms "
+        f"median (excluded from the per-window numbers)",
     ]
     publish("perf_adaptation", "\n".join(lines))
-    assert ratio < REGRESSION_BAR, (
-        f"shadow scoring costs {ratio:.2f}x per window "
-        f"(bar {REGRESSION_BAR}x)"
+    assert median < REGRESSION_BAR, (
+        f"shadow scoring costs {median:.2f}x per window in the median "
+        f"pair (bar {REGRESSION_BAR}x)"
     )
 
 

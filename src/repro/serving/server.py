@@ -57,7 +57,6 @@ import socket
 import threading
 import time
 import urllib.parse
-from collections import deque
 from concurrent.futures import Future, TimeoutError as FutureTimeoutError
 from contextlib import nullcontext
 from functools import partial
@@ -704,13 +703,14 @@ class _Inbox:
     """A stream handler's two event sources behind one lock.
 
     A reader thread queues request-body lines (:meth:`fill`), blocking
-    while *bound* lines wait, so TCP backpressure still reaches a client
-    that sends faster than the stream is scored.  Window futures post a
-    coalesced "a window resolved" flag (:meth:`wake`) from their
-    done-callbacks, which run on the batcher thread: it holds the lock
-    only to set the flag and never waits for space, so a stalled stream
-    cannot stall the batcher every stream of its model shares.  The
-    handler thread consumes both through :meth:`take`.  Each side is
+    while *bound* lines wait or are held by the handler, so TCP
+    backpressure still reaches a client that sends faster than the
+    stream is scored.  Window futures post a coalesced "a window
+    resolved" flag (:meth:`wake`) from their done-callbacks, which run
+    on the batcher thread: it holds the lock only to set the flag and
+    never waits for space, so a stalled stream cannot stall the batcher
+    every stream of its model shares.  The handler thread consumes both
+    through :meth:`take`, every queued line at once.  Each side is
     notified only when the other may be waiting for it.
     """
 
@@ -718,7 +718,11 @@ class _Inbox:
 
     def __init__(self, bound: int):
         self._bound = bound
-        self._lines: deque[bytes] = deque()
+        self._lines: list[bytes] = []
+        #: lines the last take() handed out; they count against the
+        #: bound until the next take(), so the reader frames at most
+        #: *bound* lines ahead of the scoring
+        self._held = 0
         lock = threading.Lock()
         self._has_event = threading.Condition(lock)  # the handler waits
         self._has_room = threading.Condition(lock)  # the reader waits
@@ -735,7 +739,8 @@ class _Inbox:
         try:
             for line in lines:
                 with self._has_room:
-                    while len(self._lines) >= self._bound and not self._closed:
+                    while len(self._lines) + self._held >= self._bound \
+                            and not self._closed:
                         self._has_room.wait()
                     if self._closed:
                         return
@@ -757,24 +762,27 @@ class _Inbox:
             self._has_event.notify()
 
     def take(self):
-        """Block for the next event: a body line, ``None`` for a resolve
-        wake-up, or :attr:`END`.  Lines come first (feeding collects the
-        resolved windows too); the reader's error is raised once the
-        lines before it are taken."""
+        """Block for the next event: every queued body line as one list,
+        an empty list for a resolve wake-up, or :attr:`END`.  Lines come
+        first (feeding collects the resolved windows too); the reader's
+        error is raised once the lines before it are taken."""
         with self._has_event:
+            if self._held:
+                # The last block is done with.  Its room goes back to the
+                # reader *before* this waits, or the reader (waiting for
+                # room) and this loop (waiting for lines) wait on each
+                # other.
+                self._held = 0
+                self._has_room.notify()
             while not (self._lines or self._woken or self._ended):
                 self._has_event.wait()
             woken, self._woken = self._woken, False
             if self._lines:
-                line = self._lines.popleft()
-                if len(self._lines) == self._bound // 2:
-                    # Wake a reader blocked on the full queue only once
-                    # half of it is free: it refills in one run rather
-                    # than one line per take.
-                    self._has_room.notify()
-                return line
+                block, self._lines = self._lines, []
+                self._held = len(block)
+                return block
             if woken:
-                return None
+                return []
             if self._error is not None:
                 raise self._error
             return self.END
@@ -934,7 +942,11 @@ class _Handler(BaseHTTPRequestHandler):
         response.  It takes two kinds of event from an :class:`_Inbox`:
         body lines, framed by a reader thread that only reads the
         socket, and "a window resolved" wake-ups posted by the window
-        futures.  The reader ends with the stream, however it ends.
+        futures.  Each step takes every queued line, feeds them in one
+        scorer call (one batcher admission for the windows they
+        complete) and writes what it resolved as one chunk, so window
+        lines may share a chunk.  The reader ends with the stream,
+        however it ends.
 
         ``?session=<id>`` makes the stream durable: the response leads
         with a ``{"kind": "session", ...}`` ack, every window line gains
@@ -1027,32 +1039,35 @@ class _Handler(BaseHTTPRequestHandler):
                     slot = getattr(self, "worker_slot", None)
                     if slot is not None:
                         ack["worker"] = slot
-                    sent += self._write_stream_line(ack)
-                    for line in replay:
-                        sent += self._write_stream_line(line)
+                    sent += self._write_stream_lines([ack, *replay])
                 detach = False
-                while (line := inbox.take()) is not inbox.END:
-                    if line is not None:
-                        values, label, t = self._parse_sample(line)
-                    swap_line = None
+                # One step per take: every queued line (none on a resolve
+                # wake-up) is fed in one scorer call, which admits the
+                # windows they complete together, and everything the
+                # step resolved leaves as one chunk.
+                while (block := inbox.take()) is not inbox.END:
+                    samples, failure = self._parse_block(block)
                     with owner_batch():
-                        if line is None:  # a window resolved
+                        try:
+                            results = scorer.feed_many(samples)
+                        except ValueError as error:
+                            # A bad sample ends the stream; the windows
+                            # resolved before it still go out, since
+                            # the session token already counts them.
+                            failure = error
                             results = scorer.poll()
-                        else:
-                            results = scorer.feed(values, label, t=t)
                         payloads = self._prepare_windows(
                             results, session, store, with_proba)
                         if follow and results:
                             swapped = scorer.follow()
                             if swapped is not None:
                                 store.swaps.inc()
-                                swap_line = {"kind": "swap",
-                                             "version": swapped.version,
-                                             "window": scorer.windows}
-                    for payload in payloads:
-                        sent += self._write_stream_line(payload)
-                    if swap_line is not None:
-                        sent += self._write_stream_line(swap_line)
+                                payloads.append({"kind": "swap",
+                                                 "version": swapped.version,
+                                                 "window": scorer.windows})
+                    sent += self._write_stream_lines(payloads)
+                    if failure is not None:
+                        raise failure
                     if session is not None \
                             and getattr(self.server, "draining", False):
                         # Hand the stream back mid-drain: the client
@@ -1064,12 +1079,11 @@ class _Handler(BaseHTTPRequestHandler):
                 with owner_batch():
                     payloads = self._prepare_windows(
                         scorer.finish(), session, store, with_proba)
-                for payload in payloads:
-                    sent += self._write_stream_line(payload)
+                sent += self._write_stream_lines(payloads)
                 if detach:
-                    sent += self._write_stream_line(
-                        {"kind": "detach", "reason": "draining",
-                         "token": session.token})
+                    sent += self._write_stream_lines(
+                        [{"kind": "detach", "reason": "draining",
+                          "token": session.token}])
                 elif truncated:
                     # The connection died mid-body; the client never saw
                     # an end-of-stream, so keep the session resumable
@@ -1077,12 +1091,12 @@ class _Handler(BaseHTTPRequestHandler):
                     # never read.
                     pass
                 else:
-                    sent += self._write_stream_line({
+                    sent += self._write_stream_lines([{
                         "kind": "summary", "model": scorer.record.name,
                         "version": scorer.record.version,
                         "samples": scorer.samples, "windows": scorer.windows,
                         "shifts": scorer.shifts,
-                    })
+                    }])
                     # Only now is the session genuinely over: had the
                     # summary write died on the wire, the client would
                     # still need to resume to learn the stream's fate.
@@ -1093,11 +1107,11 @@ class _Handler(BaseHTTPRequestHandler):
                 # session itself is fine (owned by someone newer); this
                 # connection just ends.  The in-band line is best-effort:
                 # a taken-over connection is usually already dead.
-                sent += self._write_stream_line(
-                    {"kind": "error", "error": str(error)})
-            except (json.JSONDecodeError, ValueError, ServingError) as error:
-                sent += self._write_stream_line(
-                    {"kind": "error", "error": str(error)})
+                sent += self._write_stream_lines(
+                    [{"kind": "error", "error": str(error)}])
+            except (ValueError, ServingError) as error:
+                sent += self._write_stream_lines(
+                    [{"kind": "error", "error": str(error)}])
             # Close (idempotent) before the terminal chunk: when the client
             # unblocks, the active-streams gauge has already dropped and
             # the reader thread is gone.
@@ -1117,6 +1131,18 @@ class _Handler(BaseHTTPRequestHandler):
         self.service.record_response(200)
         if self.access_log:
             self._log_access(200, sent)
+
+    @classmethod
+    def _parse_block(cls, lines) -> tuple[list[tuple], ValueError | None]:
+        """A block of request lines as ``feed_many`` samples, up to the
+        first malformed line, plus that line's error (or ``None``)."""
+        samples = []
+        for line in lines:
+            try:
+                samples.append(cls._parse_sample(line))
+            except ValueError as error:  # JSONDecodeError included
+                return samples, error
+        return samples, None
 
     @staticmethod
     def _parse_sample(line: bytes) -> tuple:
@@ -1185,10 +1211,15 @@ class _Handler(BaseHTTPRequestHandler):
             store.save(session)
         return payloads
 
-    def _write_stream_line(self, payload: dict) -> int:
-        """Write one NDJSON line as its own chunk; returns the byte count."""
-        data = json.dumps(payload).encode() + b"\n"
-        self.wfile.write(b"%x\r\n" % len(data) + data + b"\r\n")
+    def _write_stream_lines(self, payloads: list[dict]) -> int:
+        """Write NDJSON lines as one chunk with one flush; returns the
+        byte count.  Clients frame the response by newline, never by
+        chunk."""
+        if not payloads:
+            return 0
+        data = "".join(json.dumps(payload) + "\n"
+                       for payload in payloads).encode()
+        self.wfile.write(b"%x\r\n%b\r\n" % (len(data), data))
         self.wfile.flush()
         return len(data)
 
@@ -1236,19 +1267,31 @@ class _Handler(BaseHTTPRequestHandler):
             yield data
 
     def _iter_lines(self, chunks):
-        buffer = b""
+        """Frame body *chunks* into non-blank lines in linear time: each
+        read is split once, and the unterminated line waits as one part
+        per read until its newline arrives."""
+        parts: list[bytes] = []  # the unterminated line so far
+        size = 0
         for data in chunks:
-            buffer += data
-            while b"\n" in buffer:
-                line, buffer = buffer.split(b"\n", 1)
-                if line.strip():
-                    yield line
-            if len(buffer) > self._MAX_STREAM_LINE:
-                raise ServingError(
-                    400, f"stream line exceeds {self._MAX_STREAM_LINE} bytes")
+            *lines, tail = data.split(b"\n")
+            if lines:
+                parts.append(lines[0])
+                lines[0] = b"".join(parts)
+                parts, size = [], 0
+                for line in lines:
+                    if line.strip():
+                        yield line
+            if tail:
+                parts.append(tail)
+                size += len(tail)
+                if size > self._MAX_STREAM_LINE:
+                    raise ServingError(
+                        400,
+                        f"stream line exceeds {self._MAX_STREAM_LINE} bytes")
         # A body cut short ends in a torn line, never a sample.
-        if buffer.strip() and not self._body_truncated:
-            yield buffer
+        tail = b"".join(parts)
+        if tail.strip() and not self._body_truncated:
+            yield tail
 
     # ------------------------------------------------------------------ #
 

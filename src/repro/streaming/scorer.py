@@ -9,12 +9,20 @@ micro-batching, the bounded-queue backpressure, the metrics and the LRU
 model lifecycle with ordinary batch requests instead of sidestepping
 them.
 
+Samples arrive one at a time (:meth:`StreamScorer.feed`) or as a block
+(:meth:`StreamScorer.feed_many`, of which ``feed`` is the one-sample
+case): every window a block completes is admitted in one ``submit``, so
+a transport that reads several queued lines per step pays one admission
+for all of them.
+
 Windows are scored **pipelined**: up to ``max_inflight`` windows ride the
 batcher concurrently while results are handed back strictly in window
 order.  Backpressure composes in two layers — the submit blocks (bounded
 by ``queue_timeout``) while the shared queue is full, and the inflight
 cap makes one slow stream wait on its own oldest window rather than
-flooding the queue for everyone else.
+flooding the queue for everyone else.  The cap defaults to the service's
+``max_batch``, so one stream alone can fill the batch the batcher's
+straggler wait is waiting for.
 
 A :class:`~repro.streaming.drift.DriftMonitor` (optional but on by
 default) watches the per-window outcomes and flags concept shifts.
@@ -24,6 +32,7 @@ from __future__ import annotations
 
 from collections import deque
 from concurrent.futures import TimeoutError as FutureTimeoutError
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,15 +169,15 @@ class WindowResult:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Pending:
     index: int
     start: int
     end: int
     truth: int | None
-    future: object
     panel: np.ndarray  # kept until resolution for adapter replay buffers
-    ctx: dict | None = None  # feed-time session state (sessions only)
+    ctx: dict | None  # feed-time session state (sessions only)
+    future: object = None  # set when the window is admitted
 
 
 class StreamScorer:
@@ -219,13 +228,21 @@ class StreamScorer:
     on the service, the whole stream becomes one trace: a ``stream``
     root span plus one ``stream.window`` span per resolved window, with
     the batcher's queue/assemble/predict spans parented underneath.
+
+    *max_inflight* caps the windows this stream keeps in the batcher at
+    once.  It defaults to the service's ``max_batch``: the batcher waits
+    for stragglers only to fill a batch, so a lone stream capped below
+    ``max_batch`` would stall on its own oldest window while the batcher
+    idles out its deadline waiting for windows the stream cannot send.
     """
 
     def __init__(self, service, name: str, *, window: int, hop: int | None = None,
                  version=None, monitor: DriftMonitor | None = None,
-                 max_inflight: int = 32, queue_timeout: float = 5.0,
+                 max_inflight: int | None = None, queue_timeout: float = 5.0,
                  adapter=None, journal=None,
                  session: StreamSession | None = None, on_resolve=None):
+        if max_inflight is None:
+            max_inflight = getattr(service, "max_batch", 64)
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1; got {max_inflight}")
         if window < 1:
@@ -241,6 +258,10 @@ class StreamScorer:
         self.hop = int(hop) if hop is not None else self.window
         self.monitor = monitor if monitor is not None else DriftMonitor()
         self.max_inflight = int(max_inflight)
+        #: the shared queue's bound: one admission carries at most this
+        #: many windows, so a block never holds more of the queue than
+        #: one-at-a-time admission would (0 = unbounded)
+        self._max_admit = int(getattr(service, "max_queue", 0))
         self.queue_timeout = float(queue_timeout)
         self.adapter = adapter
         self.journal = journal
@@ -309,31 +330,46 @@ class StreamScorer:
         the stream is assumed contiguous (the historical behaviour,
         bit-identical).
         """
+        return self.feed_many(((values, label, t),))
+
+    def feed_many(self, samples) -> list[WindowResult]:
+        """Push a block of ``(values, label, t)`` samples; returns
+        whatever window results are now ready.
+
+        Each sample goes through the window ring under :meth:`feed`'s
+        rules, and the windows the block completes are admitted to the
+        batcher together: one ``submit`` per block, split only where the
+        in-flight cap or the service's ``max_queue`` requires it.  A
+        sample that raises ends the block: the windows completed before
+        it are still admitted, then the error propagates.
+        """
         if self._closed:
             raise RuntimeError("cannot feed a closed StreamScorer")
-        if t is not None:
-            t = int(t)
-            if self._last_t is not None and t <= self._last_t:
-                raise ValueError(
-                    f"t must increase: got {t} after {self._last_t}")
-        values = np.asarray(values, dtype=np.float64)
-        if self._windower is None:
-            if values.ndim != 1:
-                raise ValueError(
-                    f"a sample is a 1-D (n_channels,) vector; got "
-                    f"ndim={values.ndim}"
-                )
-            self._windower = SlidingWindower(len(values), self.window, self.hop)
-        if t is not None:
-            if self._last_t is not None and t != self._last_t + 1:
-                self._gaps += 1
-                self._windower.reset()
-            self._last_t = t
-        end = t if t is not None else self._samples
-        panel = self._windower.push(values)
-        self._samples += 1
-        if panel is not None:
-            self._submit(panel, label, end)
+        due: list[_Pending] = []
+        try:
+            for values, label, t in samples:
+                completed = self._push(values, t)
+                if completed is None:
+                    continue
+                if len(self._pending) >= self.max_inflight:
+                    # This stream is ahead of its model: wait on our own
+                    # oldest window instead of piling further onto the
+                    # shared queue.  The windows that resolved with it
+                    # make room too.
+                    self._ready.append(self._resolve_head())
+                    self._take_resolved()
+                panel, end = completed
+                index = self._submitted + len(due)
+                due.append(_Pending(
+                    index=index, start=end - self.window + 1, end=end,
+                    truth=None if label is None else int(label),
+                    panel=panel, ctx=self._feed_context(index)))
+                if len(self._pending) + len(due) >= self.max_inflight \
+                        or len(due) == self._max_admit:
+                    batch, due = due, []
+                    self._admit(batch)
+        finally:
+            self._admit(due)
         return self._collect()
 
     def poll(self) -> list[WindowResult]:
@@ -375,8 +411,7 @@ class StreamScorer:
         """
         if self._closed:
             raise RuntimeError("cannot swap a closed StreamScorer")
-        while self._pending:
-            self._ready.append(self._resolve_head())
+        self._take_resolved(drain=True)
         old = self.record
         self.record, self._stats = self.service.open_stream(old.name, version)
         self.service.close_stream(old)
@@ -418,49 +453,72 @@ class StreamScorer:
 
     # ------------------------------------------------------------------ #
 
-    def _submit(self, panel: np.ndarray, truth, end: int) -> None:
-        if len(self._pending) >= self.max_inflight:
-            # This stream is ahead of its model: wait on our own oldest
-            # window instead of piling further onto the shared queue.
-            self._ready.append(self._resolve_head())
-        index = self._submitted
-        ctx = None
-        if self.session is not None:
-            # Feed-time state: the ring, the sample clock and the gap
-            # count as of *this* window's completion.  The monitor half
-            # of the snapshot is taken at resolve time, when the
-            # window's outcome has actually updated it.
-            ctx = {"windower": self._windower.snapshot(),
-                   "samples": self._samples, "submitted": index + 1,
-                   "last_t": self._last_t, "gaps": self._gaps}
-        if self._ctx is not None:
-            # Parent the batcher's queue/assemble/predict spans to this
-            # stream rather than to whatever request shares the thread.
-            with self.tracer.use_context(self._ctx):
-                _, futures = self.service.submit(
-                    self.record.name, [panel], self.record.version,
-                    queue_timeout=self.queue_timeout,
+    def _push(self, values, t) -> tuple[np.ndarray, int] | None:
+        """One sample into the ring; returns ``(panel, end)`` when it
+        completes a window."""
+        if t is not None:
+            t = int(t)
+            if self._last_t is not None and t <= self._last_t:
+                raise ValueError(
+                    f"t must increase: got {t} after {self._last_t}")
+        values = np.asarray(values, dtype=np.float64)
+        if self._windower is None:
+            if values.ndim != 1:
+                raise ValueError(
+                    f"a sample is a 1-D (n_channels,) vector; got "
+                    f"ndim={values.ndim}"
                 )
-        else:
+            self._windower = SlidingWindower(len(values), self.window, self.hop)
+        if t is not None:
+            if self._last_t is not None and t != self._last_t + 1:
+                self._gaps += 1
+                self._windower.reset()
+            self._last_t = t
+        end = t if t is not None else self._samples
+        panel = self._windower.push(values)
+        self._samples += 1
+        return None if panel is None else (panel, end)
+
+    def _feed_context(self, index: int) -> dict | None:
+        """Feed-time session state: the ring, the sample clock and the
+        gap count as of window *index*'s completion.  The monitor half
+        of the snapshot is taken at resolve time, when the window's
+        outcome has actually updated it."""
+        if self.session is None:
+            return None
+        return {"windower": self._windower.snapshot(),
+                "samples": self._samples, "submitted": index + 1,
+                "last_t": self._last_t, "gaps": self._gaps}
+
+    def _admit(self, due: list[_Pending]) -> None:
+        """Submit *due*'s windows to the batcher in one call."""
+        if not due:
+            return
+        # Parent the batcher's queue/assemble/predict spans to this
+        # stream rather than to whatever request shares the thread.
+        with nullcontext() if self._ctx is None \
+                else self.tracer.use_context(self._ctx):
             _, futures = self.service.submit(
-                self.record.name, [panel], self.record.version,
-                queue_timeout=self.queue_timeout,
+                self.record.name, [entry.panel for entry in due],
+                self.record.version, queue_timeout=self.queue_timeout,
             )
-        self._pending.append(_Pending(
-            index=index, start=end - self.window + 1, end=end,
-            truth=None if truth is None else int(truth), future=futures[0],
-            panel=panel, ctx=ctx,
-        ))
-        self._submitted += 1
+        for entry, future in zip(due, futures):
+            entry.future = future
+        self._pending.extend(due)
+        self._submitted += len(due)
         if self.on_resolve is not None:
-            futures[0].add_done_callback(self.on_resolve)
+            for future in futures:
+                future.add_done_callback(self.on_resolve)
+
+    def _take_resolved(self, drain: bool = False) -> None:
+        """Move resolved windows (every one, with *drain*) from the head
+        of the in-flight queue to the ready list, in window order."""
+        while self._pending and (drain or self._pending[0].future.done()):
+            self._ready.append(self._resolve_head())
 
     def _collect(self, drain: bool = False) -> list[WindowResult]:
+        self._take_resolved(drain)
         out, self._ready = self._ready, []
-        while self._pending:
-            if not (drain or self._pending[0].future.done()):
-                break
-            out.append(self._resolve_head())
         return out
 
     def _resolve_head(self) -> WindowResult:

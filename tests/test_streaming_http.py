@@ -15,7 +15,14 @@ from repro.classifiers import RocketClassifier
 from repro.cli import main
 from repro.data.generators import MTSGenerator
 from repro.data.scenarios import make_world
-from repro.serving import ModelRegistry, create_server, model_metadata, prepare_panel
+from repro.serving import (
+    ModelRegistry,
+    PredictionService,
+    create_server,
+    model_metadata,
+    prepare_panel,
+)
+from repro.serving.batcher import MicroBatcher
 from repro.serving.server import _Handler, _Inbox
 from repro.streaming import (
     StreamRequestError,
@@ -215,6 +222,40 @@ class TestStreamEndpoint:
 
         assert list(handler._iter_lines(chunks())) == [b'{"values": [1.0]}']
 
+    def test_framing_ignores_read_boundaries(self):
+        """One 64 KiB read frames into the same lines, blank ones
+        dropped, as the same bytes read one at a time."""
+        handler = _Handler.__new__(_Handler)
+        handler._body_truncated = False
+        lines = [b"  " if i % 50 == 49 else
+                 b'{"values": [%d.5, -1.25], "t": %d}' % (i, i)
+                 for i in range(2000)]
+        data = b"\n".join(lines)[:65536]  # ends in an unterminated line
+        whole = list(handler._iter_lines(iter([data])))
+        bytewise = list(handler._iter_lines(
+            data[i:i + 1] for i in range(len(data))))
+        assert len(whole) > 1000
+        assert bytewise == whole
+        assert b"".join(whole) == data.replace(b"\n", b"").replace(b"  ", b"")
+
+    def test_content_length_body_in_one_write(self, server):
+        """A 2,000-line ``Content-Length`` body sent in one write is
+        framed whole: the summary counts every sample."""
+        n_lines = 2000
+        body = b"".join(b'{"values": [%d.0, 0.5]}\n' % (i % 7)
+                        for i in range(n_lines))
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=10) as sock:
+            sock.sendall(
+                f"POST /v1/models/demo/stream?window={WINDOW} HTTP/1.1\r\n"
+                f"Host: test\r\nContent-Length: {len(body)}\r\n\r\n"
+                .encode() + body)
+            reply = _read_until(sock, b"0\r\n\r\n")
+        summary = json.loads(reply.split(b"\r\n")[-4])
+        assert summary["kind"] == "summary"
+        assert summary["samples"] == n_lines
+        assert summary["windows"] == expected_windows(n_lines, WINDOW, WINDOW)
+
     def test_wrong_channel_count_reports_in_band_error(self, server):
         events = list(stream_windows("127.0.0.1", server.port, "demo",
                                      [([0.0, 0.0, 0.0], None)] * WINDOW,
@@ -285,6 +326,69 @@ def _read_until(sock: socket.socket, marker: bytes) -> bytes:
     return reply
 
 
+def _response_chunks(reply: bytes) -> list[bytes]:
+    """The chunk payloads of a raw chunked HTTP response."""
+    body = reply.split(b"\r\n\r\n", 1)[1]
+    chunks = []
+    while True:
+        size_line, body = body.split(b"\r\n", 1)
+        size = int(size_line, 16)
+        if size == 0:
+            return chunks
+        chunks.append(body[:size])
+        body = body[size + 2:]
+
+
+def _held_first_step(port: int, monkeypatch, lines: list, query: str):
+    """Stream request-line dicts *lines* while the loop's first step is
+    held until the reader has framed every line, so the rest arrive as
+    one block; returns the window count of each
+    ``PredictionService.submit`` and the raw response."""
+    release = threading.Event()
+    framed, submits = [], []
+    real_iter_lines = _Handler._iter_lines
+    real_parse = _Handler._parse_sample
+    real_submit = PredictionService.submit
+
+    def counted_lines(self, chunks):
+        for line in real_iter_lines(self, chunks):
+            framed.append(line)
+            yield line
+
+    def held_parse(line):
+        release.wait(10)
+        return real_parse(line)
+
+    def counted_submit(self, name, instances, *args, **kwargs):
+        submits.append(len(instances))
+        return real_submit(self, name, instances, *args, **kwargs)
+
+    monkeypatch.setattr(_Handler, "_iter_lines", counted_lines)
+    monkeypatch.setattr(_Handler, "_parse_sample", staticmethod(held_parse))
+    monkeypatch.setattr(PredictionService, "submit", counted_submit)
+    try:
+        with _open_raw_stream(port, query) as sock:
+            for line in lines:
+                data = json.dumps(line).encode() + b"\n"
+                sock.sendall(b"%x\r\n%s\r\n" % (len(data), data))
+            sock.sendall(b"0\r\n\r\n")
+            deadline = time.monotonic() + 5
+            while len(framed) < len(lines) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.1)  # the last framed line reaches the queue
+            release.set()
+            reply = _read_until(sock, b"0\r\n\r\n")
+    finally:
+        release.set()
+    return submits, reply
+
+
+def _response_events(reply: bytes) -> list[dict]:
+    """Every NDJSON line of a raw chunked response, parsed."""
+    return [json.loads(line) for chunk in _response_chunks(reply)
+            for line in chunk.splitlines()]
+
+
 def _one_window(generator) -> list:
     X, _ = generator.sample(np.array([1, 0]), np.random.default_rng(3))
     return list(X[0].T)  # WINDOW samples of n_channels values
@@ -346,12 +450,13 @@ class TestResolveTiming:
 
     def test_stalled_handler_reads_at_most_the_bound_ahead(
             self, server, monkeypatch):
-        """While the stream loop is stuck in its first ``feed``, the
-        reader frames at most the bound's worth of queued lines plus the
-        one it holds ahead of it, and no more; then the stream completes
+        """While the stream loop is stuck in its first block feed, the
+        reader frames at most the bound's worth of lines (the block in
+        the feed and those queued behind it) plus the one it holds
+        ahead of them, and no more; then the stream completes
         normally."""
         release = threading.Event()
-        real_feed = StreamScorer.feed
+        real_feed = StreamScorer.feed_many
 
         def stalled_feed(self, *args, **kwargs):
             release.wait(10)
@@ -365,7 +470,7 @@ class TestResolveTiming:
                 framed.append(line)
                 yield line
 
-        monkeypatch.setattr(StreamScorer, "feed", stalled_feed)
+        monkeypatch.setattr(StreamScorer, "feed_many", stalled_feed)
         monkeypatch.setattr(_Handler, "_iter_lines", counted)
         bound = _Handler._READ_AHEAD
         n_lines = 4 * bound
@@ -377,9 +482,8 @@ class TestResolveTiming:
                 while len(framed) <= bound and time.monotonic() < deadline:
                     time.sleep(0.01)
                 time.sleep(0.2)  # a reader past the bound would show now
-                # The line in feed, then at most bound queued + 1 in hand
-                # (bound - 1 queued when the queue filled before the
-                # first take: the reader waits for half of it to drain).
+                # The block in the feed and the lines queued behind it
+                # fill the bound, plus the one line in the reader's hand.
                 assert bound + 1 <= len(framed) <= 1 + bound + 1
                 release.set()
                 reply = _read_until(sock, b"0\r\n\r\n")
@@ -389,6 +493,111 @@ class TestResolveTiming:
         summary = json.loads(reply.split(b"\r\n")[-4])
         assert summary["kind"] == "summary"
         assert summary["samples"] == n_lines
+
+    def test_one_admission_per_block(self, server, monkeypatch):
+        """Lines queued behind a held step are fed as one block: the 9
+        windows of a 64-line body (window 32, hop 4) take at most two
+        ``submit`` calls, one per step, not one per window."""
+        submits, reply = _held_first_step(
+            server.port, monkeypatch, [{"values": [0.5, -0.5]}] * 64,
+            f"window={WINDOW}&hop=4")
+        assert b'"kind": "summary"' in reply
+        assert sum(submits) == expected_windows(64, WINDOW, 4) == 9
+        assert len(submits) <= 2, submits
+
+    def test_one_chunk_per_step(self, server, monkeypatch):
+        """The window lines a step resolves leave together: the 9
+        windows admitted together arrive in fewer chunks than lines."""
+        _, reply = _held_first_step(
+            server.port, monkeypatch, [{"values": [0.5, -0.5]}] * 64,
+            f"window={WINDOW}&hop=4")
+        chunks = _response_chunks(reply)
+        lines = _response_events(reply)
+        windows = [line for line in lines if line["kind"] == "window"]
+        assert [w["index"] for w in windows] == list(range(9))
+        assert lines[-1]["kind"] == "summary"
+        window_chunks = [chunk for chunk in chunks
+                         if b'"kind": "window"' in chunk]
+        assert len(window_chunks) < len(windows), len(window_chunks)
+
+    def test_blocks_keep_the_queue_bound(self, registry, generator,
+                                         monkeypatch):
+        """On a service whose queue holds 4 windows, no admission
+        carries more than 4 (a block is split at the bound), and every
+        window still arrives, in order."""
+        sizes = []
+        real_submit_many = MicroBatcher.submit_many
+
+        def counted(self, series_list, **kwargs):
+            sizes.append(len(series_list))
+            return real_submit_many(self, series_list, **kwargs)
+
+        monkeypatch.setattr(MicroBatcher, "submit_many", counted)
+        source = SyntheticSource(generator=generator, n_series=4, seed=3)
+        body = b"".join(
+            json.dumps({"values": s.values.tolist()}).encode() + b"\n"
+            for s in source)
+        bounded = create_server(registry, port=0, max_queue=4)
+        thread = threading.Thread(target=bounded.serve_forever, daemon=True)
+        thread.start()
+        try:
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", bounded.port, timeout=30)
+            try:
+                connection.request(
+                    "POST", f"/v1/models/demo/stream?window={WINDOW}&hop=1",
+                    body=body)
+                response = connection.getresponse()
+                lines = [json.loads(line) for line in response
+                         if line.strip()]
+            finally:
+                connection.close()
+        finally:
+            bounded.shutdown()
+            bounded.server_close()
+            thread.join(timeout=10)
+        plan = expected_windows(4 * WINDOW, WINDOW, 1)
+        assert lines[-1]["kind"] == "summary"
+        assert lines[-1]["windows"] == plan
+        assert [line["index"] for line in lines[:-1]] == list(range(plan))
+        assert sizes and max(sizes) <= 4, sizes
+
+    def test_bad_sample_mid_block_keeps_the_session_whole(
+            self, registry, monkeypatch):
+        """A sample refused in the middle of a block still lets out the
+        windows the block resolved before it (here through in-flight
+        cap waits), so the replay cache covers everything the session
+        token claims: a resume from 0 replays exactly the lines sent."""
+        capped = create_server(registry, port=0, max_batch=2)  # cap 2
+        thread = threading.Thread(target=capped.serve_forever, daemon=True)
+        thread.start()
+        query = f"window={WINDOW}&hop=4&session=mid-block"
+        # 48 lines and the bad one fit the read-ahead bound, so they
+        # arrive as one block.
+        lines = [{"values": [0.5, -0.5], "t": t} for t in range(48)]
+        try:
+            _, reply = _held_first_step(
+                capped.port, monkeypatch, lines + [lines[-1]], query)
+            events = _response_events(reply)
+            with _open_raw_stream(capped.port, f"{query}&resume=0") as sock:
+                sock.sendall(b"0\r\n\r\n")
+                resume_reply = _read_until(sock, b"0\r\n\r\n")
+        finally:
+            capped.shutdown()
+            capped.server_close()
+            thread.join(timeout=10)
+        # A token past the cached lines would refuse the resume (410).
+        assert resume_reply.startswith(b"HTTP/1.1 200"), resume_reply[:300]
+        resumed = _response_events(resume_reply)
+        assert events[0]["kind"] == "session"
+        assert events[-1]["kind"] == "error"
+        assert "t must increase" in events[-1]["error"]
+        windows = [e for e in events if e["kind"] == "window"]
+        assert windows
+        assert [w["token"] for w in windows] == list(range(1, len(windows) + 1))
+        assert resumed[0]["kind"] == "session"
+        assert resumed[0]["token"] == len(windows)
+        assert [e for e in resumed if e["kind"] == "window"] == windows
 
     def test_wake_returns_at_once_with_the_queue_full(self):
         """The resolve wake-up runs on the batcher thread: a full line
@@ -412,7 +621,9 @@ class TestResolveTiming:
         waker.start()
         waker.join(timeout=1)
         assert not waker.is_alive(), "wake() waited on the full queue"
-        assert inbox.take() == b"line"  # lines first: a feed collects too
+        # Every queued line in one block, ahead of the wake-up: a feed
+        # collects the resolved windows too.
+        assert inbox.take() == [b"line"] * 4
         inbox.close()
         reader.join(timeout=5)
         assert not reader.is_alive()
@@ -443,10 +654,9 @@ class TestResolveTiming:
         def loop():
             nonlocal seen
             while len(got) < n_lines or seen < n_resolves:
-                event = inbox.take()
+                block = inbox.take()
                 seen = resolved
-                if event is not None:
-                    got.append(int(event))
+                got.extend(int(line) for line in block)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -466,7 +676,7 @@ class TestResolveTiming:
                 thread.join(timeout=5)
         assert not stuck, f"loop stuck with {len(got)} lines, {seen} resolves"
         assert got == list(range(n_lines))
-        assert inbox.take() is None  # the unblocking wake-up above
+        assert inbox.take() == []  # the unblocking wake-up above
         assert inbox.take() is inbox.END
 
     @pytest.mark.parametrize("ending", ["hangup", "reset", "malformed",

@@ -103,6 +103,23 @@ class TestStreamScorer:
         finally:
             service.close()
 
+    def test_lone_stream_fills_its_batch(self, registry, problem):
+        """The in-flight cap defaults to the service's ``max_batch``, so
+        one unpaced stream alone fills the batch the straggler wait
+        holds out for, instead of stalling on its own oldest window."""
+        X, y = problem
+        service = PredictionService(registry, max_batch=64, max_latency=0.25)
+        try:
+            with StreamScorer(service, "demo", window=WINDOW,
+                              hop=4) as scorer:
+                results = _drive(scorer, ReplaySource(X, y))
+            stats = service._stats[("demo", 1)]
+        finally:
+            service.close()
+        assert [r.index for r in results] \
+            == list(range(expected_windows(len(X) * WINDOW, WINDOW, 4)))
+        assert stats.max_batch_size == 64
+
     def test_unknown_model_fails_at_open(self, service):
         with pytest.raises(ServingError) as excinfo:
             StreamScorer(service, "nope", window=WINDOW)
