@@ -20,6 +20,7 @@ from .core import (
     batch_invariant_matmul,
     fold_ridge,
     grouped_conv,
+    grouped_ppv_max,
     ridge_margins,
     softmax,
 )
@@ -42,6 +43,7 @@ __all__ = [
     "check_parity",
     "fold_ridge",
     "grouped_conv",
+    "grouped_ppv_max",
     "is_mmap_backed",
     "open_npz",
     "parity_report",

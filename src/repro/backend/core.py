@@ -40,6 +40,7 @@ __all__ = [
     "batch_invariant_matmul",
     "fold_ridge",
     "grouped_conv",
+    "grouped_ppv_max",
     "ridge_margins",
     "softmax",
 ]
@@ -184,40 +185,89 @@ def apply_folded_ridge(features: np.ndarray, scale_coef: np.ndarray,
     return batch_invariant_matmul(features, scale_coef) + intercept
 
 
-def grouped_conv(X: np.ndarray, weights: np.ndarray, biases: np.ndarray,
-                 dilation: int, padding: int,
-                 dtype=np.float64) -> np.ndarray:
-    """Batched dilated convolution of one kernel group.
+def grouped_conv(X: np.ndarray, groups, dtype=np.float64):
+    """Batched dilated convolution of a panel with each kernel group in
+    turn.
 
-    *X* is a panel ``(n, channels, length)``; *weights* ``(k, channels,
-    kernel_length)`` share one ``(dilation, padding)``; the result is
-    ``(n, k, out_len)`` responses with *biases* added.  One batched
-    matmul per call — ``(1, k, c*l) @ (n, c*l, out)`` over unfolded
-    windows — which beats einsum at these shapes (no contraction-path
-    search, better BLAS blocking).  ``dtype=float64`` reproduces the
-    historical ROCKET group convolution bit for bit; float32 casts the
-    operands once and halves the bandwidth.
+    *X* is a panel ``(n, channels, length)``; each of *groups* carries
+    ``weights`` ``(k, channels, kernel_length)``, ``biases`` ``(k,)`` and
+    one ``(dilation, padding)``.  Yields each group's ``(n, k, out_len)``
+    responses with its biases added, in group order.  One batched matmul
+    per group — ``(1, k, c*l) @ (n, c*l, out)`` over unfolded windows —
+    which beats einsum at these shapes (no contraction-path search,
+    better BLAS blocking).  ``dtype=float64`` reproduces the historical
+    ROCKET group convolution bit for bit; float32 casts the operands
+    once and halves the bandwidth.
+
+    The memory plan is per call: the panel is cast and zero-padded once,
+    to the largest padding, and each group reads an offset view of it;
+    one unfold buffer and one response buffer, sized for the largest
+    group, serve every group.  A yielded array is a view into the
+    response buffer, valid until the next group is drawn.  Nothing
+    outlives the call, so concurrent calls share no state.
     """
     X = np.asarray(X)
-    if X.dtype != dtype:
-        X = X.astype(dtype)
     n, c, t = X.shape
-    length = weights.shape[2]
-    if padding:
-        X = np.pad(X, ((0, 0), (0, 0), (padding, padding)))
-        t = X.shape[2]
-    span = (length - 1) * dilation + 1
-    out_len = t - span + 1
-    s_n, s_c, s_t = X.strides
-    windows = np.lib.stride_tricks.as_strided(
-        X,
-        shape=(n, c, length, out_len),
-        strides=(s_n, s_c, s_t * dilation, s_t),
-        writeable=False,
-    )
-    if weights.dtype != dtype:
-        weights = weights.astype(dtype)
-    kernel_matrix = weights.reshape(len(weights), c * length)
-    window_matrix = np.ascontiguousarray(windows).reshape(n, c * length, out_len)
-    responses = np.matmul(kernel_matrix[None], window_matrix)
-    return responses + np.asarray(biases, dtype=dtype)[None, :, None]
+    pad = max(group.padding for group in groups)
+    padded = np.zeros((n, c, t + 2 * pad), dtype)
+    padded[:, :, pad:pad + t] = X
+    plan = []  # (group, kernel_length, out_len)
+    for group in groups:
+        length = group.weights.shape[2]
+        span = (length - 1) * group.dilation + 1
+        plan.append((group, length, t + 2 * group.padding - span + 1))
+    unfold = np.empty(n * c * max(length * out_len
+                                  for _, length, out_len in plan), dtype)
+    responses = np.empty(n * max(len(group.weights) * out_len
+                                 for group, _, out_len in plan), dtype)
+    s_n, s_c, s_t = padded.strides
+    for group, length, out_len in plan:
+        k = len(group.weights)
+        windows = np.lib.stride_tricks.as_strided(
+            padded[:, :, pad - group.padding:],
+            shape=(n, c, length, out_len),
+            strides=(s_n, s_c, s_t * group.dilation, s_t),
+            writeable=False,
+        )
+        window_matrix = unfold[:windows.size].reshape(windows.shape)
+        np.copyto(window_matrix, windows)
+        weights = group.weights
+        if weights.dtype != dtype:
+            weights = weights.astype(dtype)
+        out = responses[:n * k * out_len].reshape(n, k, out_len)
+        np.matmul(weights.reshape(k, c * length)[None],
+                  window_matrix.reshape(n, c * length, out_len), out=out)
+        out += np.asarray(group.biases, dtype=dtype)[:, None]
+        yield out
+
+
+def grouped_ppv_max(X: np.ndarray, groups, dtype=np.float64) -> np.ndarray:
+    """ROCKET features of a panel through :func:`grouped_conv`: ``(n,
+    2K)`` in *dtype*, every group's PPV columns (the share of positive
+    responses) in group order, then every group's max columns.
+
+    Both are written straight into the output, one ``reduceat`` over
+    each series' ``(k * out_len)`` row of responses, one segment per
+    kernel: the max first; then the responses are overwritten in place
+    with their positive mask, which is summed in *dtype* (exact: a count
+    of ones) and divided by the output length — the historical ``mean``
+    bit for bit.  On short series ``reduceat`` beats an ``axis=2``
+    reduction, which pays a call per (series, kernel) row.
+    """
+    n_kernels = sum(len(group.weights) for group in groups)
+    features = np.empty((len(X), 2 * n_kernels), dtype)
+    start = 0
+    for responses in grouped_conv(X, groups, dtype):
+        n, k, out_len = responses.shape
+        rows = responses.reshape(n, k * out_len)
+        segments = np.arange(0, k * out_len, out_len)
+        stop = start + k
+        np.maximum.reduceat(rows, segments, axis=1,
+                            out=features[:, n_kernels + start:
+                                         n_kernels + stop])
+        ppv = features[:, start:stop]
+        np.greater(rows, 0, out=rows)
+        np.add.reduceat(rows, segments, axis=1, out=ppv)
+        ppv /= out_len
+        start = stop
+    return features

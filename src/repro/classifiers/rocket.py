@@ -10,7 +10,8 @@ the natural multivariate extension used when the channel count is modest.
 
 The transform groups kernels that share (length, dilation, padding) and
 convolves each group through the backend compute core
-(:func:`repro.backend.grouped_conv`), which is what makes 10k kernels
+(:func:`repro.backend.grouped_ppv_max` over
+:func:`repro.backend.grouped_conv`), which is what makes 10k kernels
 tractable in pure numpy.  Under an inference :class:`~repro.backend.ComputePolicy`
 (float32 serving) the whole transform instead runs through the fused
 one-GEMM :class:`~repro.backend.RocketBank` when the model is small
@@ -26,7 +27,7 @@ import numpy as np
 
 from .._rng import ensure_rng
 from .._validation import check_panel
-from ..backend import ComputePolicy, RocketBank, grouped_conv
+from ..backend import ComputePolicy, RocketBank, grouped_ppv_max
 from ..cache import caching_enabled, digest_rng, feature_cache
 from .base import ConvolutionalTransform, RidgeFeatureClassifier
 from .ridge import RidgeClassifierCV
@@ -158,13 +159,7 @@ class RocketTransform(ConvolutionalTransform):
         bank = getattr(self, "_bank", None)
         if bank is not None and bank.dtype == dtype:
             return bank.transform(X)
-        ppv_parts, max_parts = [], []
-        for group in self._groups:
-            responses = grouped_conv(X, group.weights, group.biases,
-                                     group.dilation, group.padding, dtype=dtype)
-            ppv_parts.append((responses > 0).mean(axis=2, dtype=dtype))
-            max_parts.append(responses.max(axis=2))
-        return np.concatenate(ppv_parts + max_parts, axis=1)
+        return grouped_ppv_max(X, self._groups, dtype)
 
 
 class RocketClassifier(RidgeFeatureClassifier):

@@ -19,6 +19,7 @@ from .characteristics import (
     dataset_variance,
     hellinger_distance,
     imbalance_degree,
+    imbalance_degrees,
     train_test_distance,
 )
 from .dataset import TimeSeriesDataset
@@ -57,6 +58,7 @@ __all__ = [
     "dataset_variance",
     "hellinger_distance",
     "imbalance_degree",
+    "imbalance_degrees",
     "train_test_distance",
     "stratified_split",
     "train_val_split",

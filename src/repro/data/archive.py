@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from .._rng import ensure_rng
-from .characteristics import imbalance_degree
+from .characteristics import imbalance_degrees
 from .dataset import TimeSeriesDataset
 from .generators import MTSGenerator
 
@@ -86,6 +86,8 @@ def solve_class_counts(n_classes: int, total: int, target_id: float) -> np.ndarr
     Searches a geometric-decay family ``p_c ~ r^-c`` over the decay rate,
     rounding with the largest-remainder method and a one-sample-per-class
     floor.  Balanced targets (ID = 0) short-circuit to near-uniform counts.
+    Every candidate is scored in one vectorised pass, and the first one
+    with the smallest error wins.
     """
     if total < n_classes:
         raise ValueError(f"cannot place {n_classes} classes in {total} samples")
@@ -94,35 +96,27 @@ def solve_class_counts(n_classes: int, total: int, target_id: float) -> np.ndarr
         base[: total % n_classes] += 1
         return base
 
-    candidates: list[np.ndarray] = []
-    for rate in np.geomspace(1.0005, 50.0, 400):
-        proportions = rate ** -np.arange(n_classes, dtype=float)
-        proportions /= proportions.sum()
-        candidates.append(_largest_remainder(proportions, total))
+    k = n_classes
+    rates = np.geomspace(1.0005, 50.0, 400)
+    proportions = rates[:, None] ** -np.arange(k, dtype=float)
+    proportions /= proportions.sum(axis=1, keepdims=True)
+    # Largest remainder, row by row: one sample per class is reserved,
+    # the rest floored, and the samples left over go to the classes with
+    # the largest fractional parts.
+    raw = proportions * (total - k)
+    geometric = np.floor(raw).astype(np.int64)
+    left_over = total - k - geometric.sum(axis=1)
+    rank = np.argsort(np.argsort(-(raw - geometric), axis=1), axis=1)
+    geometric += 1 + (rank < left_over[:, None])
     # One-majority / equal-minorities family: reaches integer ID plateaus
     # (e.g. EthanolConcentration's ID = 2.0) that geometric decay skips.
-    for minority in range(1, total // n_classes + 1):
-        head = total - (n_classes - 1) * minority
-        if head >= minority:
-            candidates.append(np.array([head] + [minority] * (n_classes - 1), dtype=np.int64))
+    minority = np.arange(1, total // k + 1)
+    one_majority = np.repeat(minority[:, None], k, axis=1)
+    one_majority[:, 0] = total - (k - 1) * minority
 
-    best_counts, best_error = None, np.inf
-    for counts in candidates:
-        error = abs(imbalance_degree(counts) - target_id)
-        if error < best_error:
-            best_error, best_counts = error, counts
-    return best_counts
-
-
-def _largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:
-    """Round proportions*total to integers summing to *total*, each >= 1."""
-    k = proportions.size
-    raw = proportions * (total - k)  # reserve one sample per class
-    counts = np.floor(raw).astype(np.int64)
-    remainder = total - k - counts.sum()
-    order = np.argsort(-(raw - counts))
-    counts[order[:remainder]] += 1
-    return counts + 1
+    candidates = np.concatenate([geometric, one_majority])
+    errors = np.abs(imbalance_degrees(candidates) - target_id)
+    return candidates[np.argmin(errors)]
 
 
 def _scaled_spec(spec: DatasetSpec, scale: str) -> DatasetSpec:

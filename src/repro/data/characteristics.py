@@ -23,6 +23,7 @@ __all__ = [
     "dataset_variance",
     "hellinger_distance",
     "imbalance_degree",
+    "imbalance_degrees",
     "train_test_distance",
     "DatasetCharacteristics",
     "characterize",
@@ -49,9 +50,15 @@ def hellinger_distance(p: np.ndarray, q: np.ndarray) -> float:
         raise ValueError(f"distributions differ in shape: {p.shape} vs {q.shape}")
     if (p < 0).any() or (q < 0).any():
         raise ValueError("distributions must be non-negative")
-    p = p / p.sum()
-    q = q / q.sum()
-    return float(np.sqrt(0.5 * ((np.sqrt(p) - np.sqrt(q)) ** 2).sum()))
+    return float(_hellinger_rows(p.ravel()[None], q.ravel())[0])
+
+
+def _hellinger_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Hellinger distance of each row of *p* ``(rows, K)`` to *q*
+    (``(K,)`` or ``(rows, K)``); both are normalised row by row first."""
+    p = p / p.sum(axis=-1, keepdims=True)
+    q = q / q.sum(axis=-1, keepdims=True)
+    return np.sqrt(0.5 * ((np.sqrt(p) - np.sqrt(q)) ** 2).sum(axis=-1))
 
 
 def imbalance_degree(class_counts: np.ndarray) -> float:
@@ -72,14 +79,25 @@ def imbalance_degree(class_counts: np.ndarray) -> float:
         raise ValueError("class_counts must be a 1-D vector with >= 2 classes")
     if (counts < 0).any() or counts.sum() == 0:
         raise ValueError("class_counts must be non-negative and not all zero")
-    k = counts.size
-    zeta = counts / counts.sum()
+    return float(imbalance_degrees(counts[None])[0])
+
+
+def imbalance_degrees(class_counts: np.ndarray) -> np.ndarray:
+    """:func:`imbalance_degree` of every row of a ``(rows, K)`` count
+    matrix in one pass, unvalidated: each row gives the same bits as the
+    one-row call."""
+    counts = np.asarray(class_counts, dtype=float)
+    k = counts.shape[1]
+    zeta = counts / counts.sum(axis=1, keepdims=True)
     e = np.full(k, 1.0 / k)
-    m = int((zeta < 1.0 / k - 1e-12).sum())
-    if m == 0:
-        return 0.0
-    iota = np.concatenate([np.zeros(m), np.full(k - m - 1, 1.0 / k), [(m + 1) / k]])
-    return float((m - 1) + hellinger_distance(zeta, e) / hellinger_distance(iota, e))
+    m = (zeta < 1.0 / k - 1e-12).sum(axis=1)
+    iota = np.where(np.arange(k) < m[:, None], 0.0, 1.0 / k)
+    iota[:, -1] = (m + 1) / k
+    # A balanced row (m = 0) has iota == e, so its ratio is 0/0; the
+    # formula's balanced case is 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = _hellinger_rows(zeta, e) / _hellinger_rows(iota, e)
+    return np.where(m == 0, 0.0, (m - 1) + ratio)
 
 
 def train_test_distance(X_train: np.ndarray, X_test: np.ndarray) -> float:

@@ -1007,9 +1007,10 @@ class _Handler(BaseHTTPRequestHandler):
             self._settle_session(session, epoch,
                                  resumable=resume is not None)
             if isinstance(error, ValueError):
-                self._reply(400, {"error": f"bad stream parameters: {error}"})
+                self._refuse_stream(
+                    400, {"error": f"bad stream parameters: {error}"})
             else:
-                self._reply(error.status, {"error": str(error)})
+                self._refuse_stream(error.status, {"error": str(error)})
             return
 
         # From here on the stream is committed: errors go in-band.
@@ -1171,6 +1172,38 @@ class _Handler(BaseHTTPRequestHandler):
         except OSError:
             pass  # already gone
         reader.join()
+
+    def _refuse_stream(self, status: int, payload: dict) -> None:
+        """Answer a stream refused before it committed, leaving the
+        connection fit for its next request.
+
+        The refusal has read none of the body, and on a keep-alive
+        connection the unread NDJSON would be parsed as the next request
+        line.  A ``Content-Length`` body is drained after the reply
+        (bounded, as the 413 path does) and the connection stays alive.
+        A chunked body (or a length that is malformed or past
+        ``_DISCARD_LIMIT``) closes the connection, and the reply says
+        so; the wire is still drained, bounded, until the client hangs
+        up, since closing on unread data sends a reset that can destroy
+        the reply before the client reads it.  A refusal whose framing
+        was already settled (a 413 that drained) only closes.
+        """
+        if self.close_connection:
+            self._reply(status, payload, {"Connection": "close"})
+            return
+        chunked = "chunked" in (
+            self.headers.get("Transfer-Encoding") or "").lower()
+        try:
+            owed = int(self.headers.get("Content-Length") or "0")
+        except ValueError:
+            owed = -1
+        if not chunked and 0 <= owed <= self._DISCARD_LIMIT:
+            self._reply(status, payload)
+            if not self.close_connection:  # the reply reached the client
+                self._discard_body(owed)
+            return
+        self._reply(status, payload, {"Connection": "close"})
+        self._discard_body(self._DISCARD_LIMIT)
 
     def _settle_session(self, session, epoch: int = 0, *,
                         resumable: bool) -> None:

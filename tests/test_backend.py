@@ -23,7 +23,9 @@ The contract under test, end to end:
   self-heals mid-request via the existing one-retry.
 """
 
+import sys
 import zipfile
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -175,12 +177,12 @@ class TestOps:
             X = _shaped_panel(shape)
             transform = RocketTransform(num_kernels=60, seed=4).fit(X)
             ppv_parts, max_parts = [], []
-            for group in transform._groups:
+            for group, responses in zip(
+                    transform._groups,
+                    grouped_conv(X, transform._groups, dtype=np.float64),
+                    strict=True):
                 expected = _reference_group_conv(X, group)
-                np.testing.assert_array_equal(
-                    grouped_conv(X, group.weights, group.biases,
-                                 group.dilation, group.padding,
-                                 dtype=np.float64), expected)
+                np.testing.assert_array_equal(responses, expected)
                 ppv_parts.append((expected > 0).mean(axis=2))
                 max_parts.append(expected.max(axis=2))
             reference = np.concatenate(ppv_parts + max_parts, axis=1)
@@ -188,6 +190,25 @@ class TestOps:
                 transform.set_inference_policy(policy)
                 np.testing.assert_array_equal(transform.transform(X),
                                               reference)
+
+    def test_grouped_transform_shares_no_scratch_across_threads(self):
+        """Serving threads run the grouped float64 path concurrently; its
+        buffers belong to the call, so every thread gets the bits a lone
+        call gets, whatever the other threads' panel sizes."""
+        X = _shaped_panel((12, 2, 32))
+        transform = RocketTransform(num_kernels=60, seed=4).fit(X)
+        panels = [X[i:i + 1 + i % 5] for i in range(8)]
+        expected = [transform.transform(panel) for panel in panels]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                for _ in range(10):
+                    for got, want in zip(
+                            pool.map(transform.transform, panels), expected):
+                        np.testing.assert_array_equal(got, want)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_minirocket_float64_bit_identical_to_reference_loop(self):
         """MiniRocket's float64 features are the historical loop: per plan

@@ -6,6 +6,7 @@ equals an uninterrupted one, and a cache hit equals a recomputation.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from repro.experiments import (
 )
 
 MICRO = dict(datasets=["Epilepsy", "RacketSports"], techniques=("noise1",), n_runs=2, seed=0)
+#: the paper grid's default-seed accuracies, as the grid benchmark checks them
+GRID_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "grid_reference.json"
 
 
 class TestSeedDerivation:
@@ -120,6 +123,25 @@ class TestParallelDeterminism:
             warm = evaluate(train, test, rocket_spec(100), "smote", n_runs=2, seed=5)
             warm_again = evaluate(train, test, rocket_spec(100), "smote", n_runs=2, seed=5)
         assert cold.accuracies == warm.accuracies == warm_again.accuracies
+
+
+class TestHistoricalBits:
+    def test_grid_cells_equal_the_committed_reference(self):
+        """Three datasets of the default-seed paper grid (ROCKET + ridge,
+        baseline and four techniques, five runs each) reproduce the
+        committed accuracies bit for bit: a change to the archive, the
+        augmenters, the transform or the ridge head that moves a grid
+        accuracy fails here, not only in the benchmark."""
+        reference = json.loads(GRID_REFERENCE.read_text(encoding="utf-8"))
+        datasets = ["CharacterTrajectories", "PenDigits", "RacketSports"]
+        grid = run_grid(rocket_spec(reference["kernels"]), datasets=datasets,
+                        techniques=tuple(reference["techniques"]),
+                        n_runs=reference["n_runs"], scale=reference["scale"],
+                        seed=reference["seed"])
+        assert len(grid.cells) == 15
+        for (dataset, technique), cell in grid.cells.items():
+            key = f"{dataset}/{technique}"
+            assert list(cell.accuracies) == reference["accuracies"][key], key
 
 
 class TestCheckpointResume:

@@ -151,6 +151,46 @@ class TestStreamEndpoint:
         finally:
             connection.close()
 
+    @pytest.mark.parametrize("chunked", [False, True],
+                             ids=["content-length", "chunked"])
+    @pytest.mark.parametrize("path, status", [
+        ("/v1/models/demo/stream?window=0", 400),
+        ("/v1/models/missing/stream", 404),
+        ("/v1/models/demo/stream?session=" + "s" * 65, 400),
+        ("/v1/models/demo/stream?resume=3", 400),
+    ], ids=["window-0", "unknown-model", "long-session-id",
+            "resume-without-session"])
+    def test_refused_stream_leaves_its_connection_usable(
+            self, server, generator, path, status, chunked):
+        """A stream refused before it commits never leaves its unread
+        body to be parsed as the next request: a predict sent next
+        through the same client connection gets its 200.  A
+        ``Content-Length`` refusal keeps the connection alive; a chunked
+        one closes it, and says so."""
+        lines = [json.dumps({"values": [0.1 * i, -0.1 * i]}).encode()
+                 + b"\n" for i in range(3)]
+        series, _ = generator.sample(np.array([1, 0]),
+                                     np.random.default_rng(2))
+        connection = http.client.HTTPConnection("127.0.0.1", server.port,
+                                                timeout=10)
+        try:
+            connection.request("POST", path, body=iter(lines) if chunked
+                               else b"".join(lines))
+            sock = connection.sock
+            refused = connection.getresponse()
+            assert refused.status == status
+            refused.read()
+            assert refused.getheader("Connection") == (
+                "close" if chunked else None)
+            connection.request("POST", "/v1/models/demo/predict",
+                               body=json.dumps({"series": series[0].tolist()}))
+            response = connection.getresponse()
+            assert response.status == 200
+            assert "label" in json.loads(response.read())
+            assert (connection.sock is sock) is not chunked
+        finally:
+            connection.close()
+
     def test_content_length_body_works_too(self, server, generator):
         """A buffered (non-chunked) NDJSON body streams the same results."""
         source = SyntheticSource(generator=generator, n_series=3, seed=5)
