@@ -9,9 +9,10 @@ ways:
 * **micro-batched** — the same requests submitted one-by-one through a
   :class:`~repro.serving.MicroBatcher`, which coalesces them into panels.
 
-Labels must be identical request for request; the published table records
-requests/second and the coalescing statistics.  The acceptance bar is
->= 2x throughput for the batched path.
+Labels must be identical request for request, and every run must give
+the first run's labels; the published table records requests/second and
+the coalescing statistics.  The acceptance bar is >= 2x throughput for
+the batched path.
 
 One timed run lasts a tenth of a second or so, so a single ratio moves
 by tens of percent with host scheduling.  The bench therefore runs
@@ -70,6 +71,7 @@ def test_serving_throughput():
     model, requests = _workload()
 
     pairs = []  # (sequential s, batched s, batcher stats)
+    first_labels = None  # every later run must give the first run's labels
     for pair in range(PAIRS):
         # Alternate the order, so a drift in host speed over the run
         # does not land on one side only.
@@ -79,8 +81,11 @@ def test_serving_throughput():
         else:
             seq_time, seq_labels = _time_sequential(model, requests)
             bat_time, bat_labels, stats = _time_batched(model, requests)
-        # Batching must never change an answer.
-        assert bat_labels == seq_labels
+        if first_labels is None:
+            first_labels = seq_labels
+        # Batching must never change an answer, and neither may a rerun.
+        assert seq_labels == first_labels
+        assert bat_labels == first_labels
         pairs.append((seq_time, bat_time, stats))
 
     ratios = [seq / bat for seq, bat, _ in pairs]

@@ -19,7 +19,6 @@ from .characteristics import (
     dataset_variance,
     hellinger_distance,
     imbalance_degree,
-    imbalance_degrees,
     train_test_distance,
 )
 from .dataset import TimeSeriesDataset
@@ -58,7 +57,6 @@ __all__ = [
     "dataset_variance",
     "hellinger_distance",
     "imbalance_degree",
-    "imbalance_degrees",
     "train_test_distance",
     "stratified_split",
     "train_val_split",

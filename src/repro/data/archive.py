@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from .._rng import ensure_rng
-from .characteristics import imbalance_degrees
+from .characteristics import _imbalance_degrees
 from .dataset import TimeSeriesDataset
 from .generators import MTSGenerator
 
@@ -115,7 +115,7 @@ def solve_class_counts(n_classes: int, total: int, target_id: float) -> np.ndarr
     one_majority[:, 0] = total - (k - 1) * minority
 
     candidates = np.concatenate([geometric, one_majority])
-    errors = np.abs(imbalance_degrees(candidates) - target_id)
+    errors = np.abs(_imbalance_degrees(candidates) - target_id)
     return candidates[np.argmin(errors)]
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "dataset_variance",
     "hellinger_distance",
     "imbalance_degree",
-    "imbalance_degrees",
     "train_test_distance",
     "DatasetCharacteristics",
     "characterize",
@@ -79,10 +78,10 @@ def imbalance_degree(class_counts: np.ndarray) -> float:
         raise ValueError("class_counts must be a 1-D vector with >= 2 classes")
     if (counts < 0).any() or counts.sum() == 0:
         raise ValueError("class_counts must be non-negative and not all zero")
-    return float(imbalance_degrees(counts[None])[0])
+    return float(_imbalance_degrees(counts[None])[0])
 
 
-def imbalance_degrees(class_counts: np.ndarray) -> np.ndarray:
+def _imbalance_degrees(class_counts: np.ndarray) -> np.ndarray:
     """:func:`imbalance_degree` of every row of a ``(rows, K)`` count
     matrix in one pass, unvalidated: each row gives the same bits as the
     one-row call."""

@@ -810,6 +810,17 @@ class _Handler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------ #
 
+    def handle_one_request(self) -> None:
+        # A client may reset its connection, most often a keep-alive one
+        # idling between requests (closing with a reply unread does
+        # that).  Like a clean close, that is the client hanging up, not
+        # a server error: end the connection instead of printing a
+        # traceback.
+        try:
+            super().handle_one_request()
+        except ConnectionResetError:
+            self.close_connection = True
+
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         # Untraced: scrapes, health checks and trace polls would fill the
         # flight recorder with their own reads.  The reset keeps a GET off
@@ -1180,30 +1191,32 @@ class _Handler(BaseHTTPRequestHandler):
         The refusal has read none of the body, and on a keep-alive
         connection the unread NDJSON would be parsed as the next request
         line.  A ``Content-Length`` body is drained after the reply
-        (bounded, as the 413 path does) and the connection stays alive.
-        A chunked body (or a length that is malformed or past
-        ``_DISCARD_LIMIT``) closes the connection, and the reply says
-        so; the wire is still drained, bounded, until the client hangs
-        up, since closing on unread data sends a reset that can destroy
-        the reply before the client reads it.  A refusal whose framing
-        was already settled (a 413 that drained) only closes.
+        (bounded, as the 413 path does) and the connection stays alive,
+        unless the client asked to close it (``Connection: close``, or
+        HTTP/1.0); the reply then says it closes.  A chunked body (or a
+        length past ``_DISCARD_LIMIT``) closes the connection, and the
+        reply says so; the wire is still drained, bounded, until the
+        client hangs up.  Either drain matters on a closing connection
+        too: closing on unread data sends a reset, which can destroy the
+        reply before the client reads it.  A body with nothing left to
+        drain (a 413 that drained it) or no known end (a malformed
+        length) only closes.
         """
-        if self.close_connection:
-            self._reply(status, payload, {"Connection": "close"})
-            return
         chunked = "chunked" in (
             self.headers.get("Transfer-Encoding") or "").lower()
         try:
             owed = int(self.headers.get("Content-Length") or "0")
         except ValueError:
-            owed = -1
-        if not chunked and 0 <= owed <= self._DISCARD_LIMIT:
-            self._reply(status, payload)
-            if not self.close_connection:  # the reply reached the client
-                self._discard_body(owed)
-            return
-        self._reply(status, payload, {"Connection": "close"})
-        self._discard_body(self._DISCARD_LIMIT)
+            owed = None
+        if self._body_drained or (owed is None and not chunked):
+            self._reply(status, payload, {"Connection": "close"})
+        elif chunked or owed > self._DISCARD_LIMIT:
+            self._reply(status, payload, {"Connection": "close"})
+            self._discard_body(self._DISCARD_LIMIT)
+        else:
+            self._reply(status, payload, {"Connection": "close"}
+                        if self.close_connection else None)
+            self._discard_body(owed)
 
     def _settle_session(self, session, epoch: int = 0, *,
                         resumable: bool) -> None:
@@ -1359,6 +1372,7 @@ class _Handler(BaseHTTPRequestHandler):
         if self.max_body_bytes and length > self.max_body_bytes:
             self.close_connection = True
             self._discard_body(length)
+            self._body_drained = True
             raise ServingError(
                 413, f"request body of {length} bytes exceeds the "
                      f"{self.max_body_bytes}-byte limit"
@@ -1368,6 +1382,10 @@ class _Handler(BaseHTTPRequestHandler):
     #: stop draining a refused body past this; a sender lying about a
     #: colossal Content-Length gets the RST instead of our time
     _DISCARD_LIMIT = 64 * 1024 * 1024
+
+    #: set once ``_admitted_length`` has drained a refused body; the
+    #: connection then closes, so the flag never reaches another request
+    _body_drained = False
 
     def _discard_body(self, length: int) -> None:
         remaining = min(length, self._DISCARD_LIMIT)

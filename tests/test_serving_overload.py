@@ -187,6 +187,30 @@ class TestBackpressure:
         assert status == 400
         assert "shape" in body["error"]
 
+    def test_oversized_stream_is_413_and_closes_at_once(self, request,
+                                                         registry):
+        """A stream body past the cap is drained by the admission check
+        itself, so its refusal closes the connection at once: a refusal
+        that drained the body a second time would wait for bytes that
+        never come, and this client, which reads until the server
+        closes, would time out."""
+        import socket
+
+        server = _serve(request, registry, max_body_bytes=512)
+        body = b'{"values": [0.0, 0.0]}\n' * 200
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=10) as sock:
+            sock.sendall(b"POST /v1/models/demo/stream HTTP/1.1\r\n"
+                         b"Host: test\r\nContent-Length: %d\r\n\r\n"
+                         % len(body) + body)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == b"413", reply
+        assert b"connection: close" in head.lower()
+        assert "512" in json.loads(payload)["error"]
+
     @pytest.mark.parametrize("route", ["predict", "stream"])
     def test_malformed_content_length_is_400(self, request, registry, route):
         """A Content-Length that is not an integer is the client's error:
@@ -460,6 +484,37 @@ class TestHandlerDisconnects:
         status, _, _ = _post(server, "/v1/models/demo/predict",
                              {"series": X[0].tolist()})
         assert status == 200
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_reset_between_requests_is_no_server_error(self, request,
+                                                       registry, capfd):
+        """A client may reset a keep-alive connection while it idles
+        between requests (closing with a reply unread does that).  The
+        client has hung up: the connection ends without a traceback,
+        and the server keeps serving."""
+        import socket
+        import struct
+
+        server = _serve(request, registry)
+        before = set(threading.enumerate())
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=10) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+            reply = sock.makefile("rb")
+            length = next(int(line.split(b":")[1])
+                          for line in iter(reply.readline, b"\r\n")
+                          if line.lower().startswith(b"content-length:"))
+            reply.read(length)  # whole reply read: the server idles
+            reply.close()
+            # Linger 0 makes the close a reset.
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))
+        for thread in set(threading.enumerate()) - before:
+            if "process_request" in thread.name:
+                thread.join(timeout=10)
+        status, body, _ = _post(server, "/v1/models/demo/predict",
+                                {"series": [[1.0, 2.0]]})
+        assert status == 400  # answered, not hung
         assert "Traceback" not in capfd.readouterr().err
 
 

@@ -191,6 +191,40 @@ class TestStreamEndpoint:
         finally:
             connection.close()
 
+    @pytest.mark.parametrize("chunked", [False, True],
+                             ids=["content-length", "chunked"])
+    def test_refused_stream_under_connection_close_drains_its_body(
+            self, server, chunked):
+        """A client that asks to close still gets its refusal whole: the
+        reply says the connection closes, and the body is drained before
+        the close.  The body (about 1 MB) outgrows both socket buffers,
+        so a server that closed on it unread would reset the connection
+        while the client is still sending, and the send would fail."""
+        line = json.dumps({"values": [0.5] * 65536}).encode() + b"\n"
+        body = line * 3
+        if chunked:
+            framing = b"Transfer-Encoding: chunked\r\n"
+            body = b"%x\r\n%b\r\n0\r\n\r\n" % (len(body), body)
+        else:
+            framing = b"Content-Length: %d\r\n" % len(body)
+        with socket.socket() as sock:
+            sock.settimeout(10)
+            # A fixed send buffer: the kernel would otherwise grow it.
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 65536)
+            sock.connect(("127.0.0.1", server.port))
+            sock.sendall(b"POST /v1/models/demo/stream?window=0 HTTP/1.1\r\n"
+                         b"Host: test\r\nConnection: close\r\n" + framing
+                         + b"\r\n" + body)
+            if chunked:  # a chunked refusal drains until the client hangs up
+                sock.shutdown(socket.SHUT_WR)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == b"400", reply
+        assert b"connection: close" in head.lower()
+        assert json.loads(payload)["error"].startswith("bad stream parameters")
+
     def test_content_length_body_works_too(self, server, generator):
         """A buffered (non-chunked) NDJSON body streams the same results."""
         source = SyntheticSource(generator=generator, n_series=3, seed=5)
