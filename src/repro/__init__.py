@@ -31,9 +31,23 @@ Quickstart
 ...     test.znormalize().impute().X, test.y)
 """
 
-from . import augmentation, classifiers, data, experiments, nn, serving, taxonomy
-
 __version__ = "1.1.0"
 
 __all__ = ["augmentation", "classifiers", "data", "experiments", "nn", "serving",
            "taxonomy", "__version__"]
+
+#: subpackages load on first attribute access (PEP 562), so ``import
+#: repro`` costs nothing and a server imports only what it serves
+_SUBPACKAGES = frozenset(__all__) - {"__version__"}
+
+
+def __getattr__(name: str):
+    if name in _SUBPACKAGES:
+        import importlib  # not at module level: dir(repro) stays clean
+
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _SUBPACKAGES)

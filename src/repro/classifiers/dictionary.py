@@ -12,7 +12,6 @@ SAX in place of SFA.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm
 
 from .base import RidgeFeatureClassifier
 from .ridge import RidgeClassifierCV
@@ -31,6 +30,8 @@ def paa(series: np.ndarray, n_segments: int) -> np.ndarray:
 
 def _breakpoints(alphabet_size: int) -> np.ndarray:
     """Gaussian equi-probable breakpoints for the SAX alphabet."""
+    from scipy.stats import norm  # SAX alone needs scipy; serving never runs it
+
     return norm.ppf(np.linspace(0, 1, alphabet_size + 1)[1:-1])
 
 

@@ -506,12 +506,12 @@ def _cmd_train(args) -> int:
                                            rng=np.random.default_rng(aug_seed))
             if augmented.n_series > train.n_series:
                 tail = augmented.subset(np.arange(train.n_series, augmented.n_series))
-                synth_ready = tail.znormalize().impute()
+                synth_ready = tail.preprocess()
     except KeyError as error:
         print(f"error: {error.args[0]}", file=sys.stderr)
         return 2
-    train_ready = train.znormalize().impute()
-    test_ready = test.znormalize().impute()
+    train_ready = train.preprocess()
+    test_ready = test.preprocess()
 
     model = _build_classifier(args, np.random.default_rng(model_seed))
     if synth_ready is not None and args.model == "inceptiontime":

@@ -169,6 +169,17 @@ class TimeSeriesDataset:
         std[std == 0] = 1.0
         return replace(self, X=(self.X - mean) / std)
 
+    def preprocess(self) -> "TimeSeriesDataset":
+        """The classification protocol's preprocessing: per-series z-norm,
+        then imputation.
+
+        The one definition: the training protocol prepares its panels
+        with it and the server its requests
+        (:func:`repro.serving.prepare_panel`), so a served series is
+        prepared exactly as a published model's training panel was.
+        """
+        return self.znormalize().impute()
+
     def missing_proportion(self) -> float:
         """Fraction of NaN observations — the paper's ``prop miss``."""
         return float(np.isnan(self.X).mean())

@@ -107,21 +107,17 @@ class EvaluationResult:
         return float(np.std(self.accuracies))
 
 
-def _prepare(dataset: TimeSeriesDataset) -> TimeSeriesDataset:
-    """Classification preprocessing: per-series z-norm, then imputation."""
-    return dataset.znormalize().impute()
-
-
 def _prepare_cached(dataset: TimeSeriesDataset) -> TimeSeriesDataset:
-    """Like :func:`_prepare`, memoised by panel content when caching is on.
+    """:meth:`TimeSeriesDataset.preprocess`, memoised by panel content
+    when caching is on.
 
     Both preprocessing steps are per-series, so the prepared panel is a
     pure function of the raw panel — a content key is exact.
     """
     if not caching_enabled():
-        return _prepare(dataset)
+        return dataset.preprocess()
     key = ("prepared-panel", digest_array(dataset.X))
-    X = feature_cache().get_or_create(key, lambda: _prepare(dataset).X)
+    X = feature_cache().get_or_create(key, lambda: dataset.preprocess().X)
     return TimeSeriesDataset(X, dataset.y, name=dataset.name, metadata=dataset.metadata)
 
 
@@ -197,7 +193,7 @@ def _run_prepared(
     if augmenter is not None:
         augmented = augment_to_balance(train, augmenter, rng=np.random.default_rng(aug_seed))
         synth = _synthetic_tail(train, augmented)
-        synth_ready = _prepare(synth) if synth is not None else None
+        synth_ready = synth.preprocess() if synth is not None else None
 
     if augmenter is not None and model_spec.supports_extra:
         # Augmented samples go to the training part only (Sec. IV-D).

@@ -130,7 +130,9 @@ class _SideChannel:
     hands a held blob over to a resuming peer.  The command is read up
     to its newline, however long (bounded by
     ``_SIDE_CHANNEL_MAX_REQUEST``).  The responder half-closes after
-    writing, which is the client's end-of-response signal.
+    writing, which is the client's end-of-response signal.  A request it
+    cannot read or answer is counted in
+    ``repro_session_side_channel_errors_total``.
     """
 
     def __init__(self, path: str, service, slot: int):
@@ -165,9 +167,13 @@ class _SideChannel:
                 with conn.makefile("rb") as reader:
                     request = reader.readline(_SIDE_CHANNEL_MAX_REQUEST)
                 command = json.loads(request.decode() or "{}")
+                if not isinstance(command, dict):
+                    raise ValueError(f"not a command object: {command!r}")
                 conn.sendall(self._respond(command))
         except (OSError, ValueError):
-            pass  # a torn scrape hurts nobody; the scraper times out
+            # Torn or malformed: the peer's own call fails or times out,
+            # and a lost session_put or session_take shows here.
+            self.service.sessions.side_channel_errors.inc()
 
     def _respond(self, command: dict) -> bytes:
         verb = command.get("cmd")
@@ -219,7 +225,8 @@ def _build_pool_session_store(pool_dir: str, slot: int, workers: int):
     replication the peer does not acknowledge with ``{"ok": true}`` —
     peer down or respawning, or a stale copy the peer's
     :meth:`SessionStore.adopt` refused — is counted in
-    ``repro_session_replication_failures_total``.
+    ``repro_session_replication_failures_total``, and every peer a
+    resume fetch fails on in ``repro_session_fetch_failures_total``.
     """
     from ..streaming.session import SessionStore, rendezvous_slot
 
@@ -256,6 +263,7 @@ def _build_pool_session_store(pool_dir: str, slot: int, workers: int):
                                    "token": int(token)})
                     payload = json.loads(raw.decode() or "null")
                 except (OSError, ValueError):
+                    self.fetch_failures.inc()  # down, respawning or torn
                     continue
                 blob = payload.get("blob") \
                     if isinstance(payload, dict) else None

@@ -70,7 +70,6 @@ import numpy as np
 
 from ..backend import INFERENCE_POLICY, ComputePolicy, apply_inference_policy
 from ..data.dataset import TimeSeriesDataset
-from ..experiments.protocol import _prepare as _protocol_prepare
 from ..observability import get_logger, get_tracer
 from .batcher import BatcherStats, MicroBatcher, QueueFullError
 from .metrics import (
@@ -97,11 +96,14 @@ PROTOCOL_PREPROCESSING = "znormalize+impute"
 def prepare_panel(X: np.ndarray) -> np.ndarray:
     """Apply the training protocol's preprocessing to a raw panel.
 
-    Delegates to the protocol's own ``_prepare`` so the serving path can
-    never drift from what published models were trained on.
+    Calls :meth:`TimeSeriesDataset.preprocess`, the one definition the
+    training protocol also prepares its panels with, so the serving path
+    can never drift from what published models were trained on.  It
+    lives in :mod:`repro.data`, so serving never imports the experiment
+    stack.
     """
     dataset = TimeSeriesDataset(X, np.zeros(len(X), dtype=np.int64))
-    return _protocol_prepare(dataset).X
+    return dataset.preprocess().X
 
 
 class Prediction(NamedTuple):
@@ -256,6 +258,13 @@ SERVICE_FAMILIES = tuple(FamilySpec(*row) for row in (
      "Session blobs a peer worker did not acknowledge adopting "
      "(includes stale copies it refused).", "sessions",
      attrgetter("replication_failures.value")),
+    ("repro_session_side_channel_errors_total", "counter",
+     "Peer side-channel requests this worker could not read or answer "
+     "(torn or malformed).", "sessions",
+     attrgetter("side_channel_errors.value")),
+    ("repro_session_fetch_failures_total", "counter",
+     "Peer workers a session resume fetch failed on (down, respawning or "
+     "a torn reply).", "sessions", attrgetter("fetch_failures.value")),
     ("repro_serving_http_responses_total", "counter",
      "HTTP responses by status code.", "status", int),
 ))

@@ -304,6 +304,10 @@ class SessionStore:
         #: replications a peer did not acknowledge (the pool store counts
         #: them; includes stale copies the peer's adopt() refused)
         self.replication_failures = Counter()
+        #: side-channel requests this worker could not read or answer,
+        #: and peers that failed a resume fetch (the pool counts both)
+        self.side_channel_errors = Counter()
+        self.fetch_failures = Counter()
         self.active = Gauge()
 
     # ------------------------------------------------------------------ #

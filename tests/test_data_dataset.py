@@ -125,6 +125,20 @@ def test_znormalize_constant_channel_safe():
     assert np.allclose(ds.X, 0.0)
 
 
+def test_preprocess_is_the_served_preprocessing():
+    """z-norm then impute, and the server prepares a raw panel through
+    the same definition, bit for bit."""
+    from repro.serving import prepare_panel
+
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((4, 2, 30)) * 5 + 2
+    X[0, 0, :3] = X[1, 1, 10:14] = X[2, 0, -2:] = np.nan
+    ds = TimeSeriesDataset(X, np.zeros(4, dtype=int))
+    expected = ds.znormalize().impute().X
+    assert np.array_equal(ds.preprocess().X, expected)
+    assert np.array_equal(prepare_panel(X), expected)
+
+
 def test_missing_proportion():
     X = np.ones((1, 1, 4))
     X[0, 0, :2] = np.nan

@@ -3,10 +3,10 @@
 The service exposition, the cross-worker merge and the pool's own
 ``repro_pool_*`` block are rendered for a fixed state in which every
 family is populated and nothing is timing-derived, then compared with
-captures in ``tests/golden/``.  The captures predate the
-``repro_session_replication_failures_total`` family, so that family's
-three lines are the only ones allowed to differ — anything else that
-moves is a change to what scrapers and dashboards read.
+captures in ``tests/golden/``.  The captures predate the three
+durability-failure families in ``NEW_FAMILIES``, so those families'
+three lines each are the only ones allowed to differ — anything else
+that moves is a change to what scrapers and dashboards read.
 
 The test also holds the catalog in ``docs/operations.md`` to exactly
 the families ``/metrics`` renders, and the ``# HELP``/``# TYPE`` layout
@@ -25,7 +25,19 @@ from repro.serving.pool import _PoolHandler
 
 GOLDEN = Path(__file__).parent / "golden"
 ROOT = Path(__file__).resolve().parents[1]
-NEW_FAMILY = "repro_session_replication_failures_total"
+#: the families newer than the captures, in exposition order, with
+#: their HELP text
+NEW_FAMILIES = {
+    "repro_session_replication_failures_total":
+        "Session blobs a peer worker did not acknowledge adopting "
+        "(includes stale copies it refused).",
+    "repro_session_side_channel_errors_total":
+        "Peer side-channel requests this worker could not read or answer "
+        "(torn or malformed).",
+    "repro_session_fetch_failures_total":
+        "Peer workers a session resume fetch failed on (down, respawning "
+        "or a torn reply).",
+}
 
 
 class _IdleBatcher:
@@ -97,38 +109,41 @@ def pool_exposition(service, pool_dir: Path) -> str:
     return _PoolHandler._pool_metrics(handler)
 
 
-def _without_new_family(text: str) -> tuple[str, list[str]]:
-    """Split *text* into the lines the captures know and the new family's."""
+def _is_new(line: str) -> bool:
+    return any(name in line for name in NEW_FAMILIES)
+
+
+def _assert_matches_capture(text: str, capture: str,
+                            values=(0, 0, 0)) -> None:
+    """*text* equals the capture once the new families' lines are out,
+    and those are exactly each family's HELP, TYPE and *values* entry."""
     lines = text.splitlines(keepends=True)
-    new = [line for line in lines if NEW_FAMILY in line]
-    return "".join(line for line in lines if NEW_FAMILY not in line), new
-
-
-def _assert_matches_capture(text: str, capture: str, failures: int) -> None:
-    known, new = _without_new_family(text)
+    known = "".join(line for line in lines if not _is_new(line))
     assert known == (GOLDEN / capture).read_text()
-    assert [line.rstrip("\n") for line in new] == [
-        f"# HELP {NEW_FAMILY} Session blobs a peer worker did not "
-        f"acknowledge adopting (includes stale copies it refused).",
-        f"# TYPE {NEW_FAMILY} counter",
-        f"{NEW_FAMILY} {failures}",
-    ]
+    assert [line.rstrip("\n") for line in lines if _is_new(line)] == [
+        line for (name, help_), value in zip(NEW_FAMILIES.items(), values)
+        for line in (f"# HELP {name} {help_}", f"# TYPE {name} counter",
+                     f"{name} {value}")]
 
 
 class TestGoldenExposition:
     def test_service_exposition_matches_capture(self, tmp_path):
         service = fixed_service(tmp_path)
-        service.sessions.replication_failures.inc(4)
-        _assert_matches_capture(service.metrics_text(), "service.prom", 4)
+        sessions = service.sessions
+        sessions.replication_failures.inc(4)
+        sessions.side_channel_errors.inc(5)
+        sessions.fetch_failures.inc(6)
+        _assert_matches_capture(service.metrics_text(), "service.prom",
+                                (4, 5, 6))
 
     def test_merged_exposition_matches_capture(self, tmp_path):
         texts = {"0": fixed_service(tmp_path / "a").metrics_text(),
                  "1": fixed_service(tmp_path / "b", scale=3).metrics_text()}
-        _assert_matches_capture(merge_expositions(texts), "merged.prom", 0)
+        _assert_matches_capture(merge_expositions(texts), "merged.prom")
 
     def test_pool_exposition_matches_capture(self, tmp_path):
         text = pool_exposition(fixed_service(tmp_path / "reg"), tmp_path)
-        _assert_matches_capture(text, "pool.prom", 0)
+        _assert_matches_capture(text, "pool.prom")
 
 
 class TestCatalog:

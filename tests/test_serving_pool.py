@@ -9,6 +9,7 @@ import signal
 import socket
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,8 +24,9 @@ from repro.serving import (
     parse_exposition,
     prepare_panel,
 )
-from repro.serving.pool import _build_pool_session_store, _scrape
+from repro.serving.pool import _build_pool_session_store, _scrape, _SideChannel
 from repro.streaming import stream_windows
+from repro.streaming.session import SessionError, SessionStore
 
 from conftest import keep_alive_p50_ms
 
@@ -419,3 +421,40 @@ class TestSessionReplication:
             store.save(store.open("orphan"))
         assert store.snapshots.value == 1
         assert store.replication_failures.value == 1
+
+    def test_failed_resume_fetch_is_counted(self, tmp_path):
+        """A resume whose peer socket exists but is not listening finds
+        no session (404), and the store counts the failed fetch."""
+        store = _build_pool_session_store(str(tmp_path), slot=0, workers=2)
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as peer:
+            peer.bind(str(tmp_path / "worker-1.sock"))
+            with pytest.raises(SessionError) as refused:
+                store.resume("orphan", 1)
+        assert refused.value.status == 404
+        assert store.fetch_failures.value == 1
+
+    @pytest.mark.parametrize("request_bytes", [
+        b'{"cmd": "session_ta',  # half a command line, then a hang-up
+        b"[]\n",  # well-formed JSON, but not a command object
+    ], ids=["torn", "not-an-object"])
+    def test_torn_side_channel_request_is_counted(self, tmp_path,
+                                                  request_bytes):
+        """A request the worker cannot read or answer is counted, not
+        swallowed (nor left to kill its thread); a whole command is not."""
+        service = SimpleNamespace(sessions=SessionStore())
+        channel = _SideChannel(str(tmp_path / "worker-0.sock"), service, 0)
+        try:
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as peer:
+                peer.connect(channel.path)
+                peer.sendall(request_bytes)
+            errors = service.sessions.side_channel_errors
+            deadline = time.monotonic() + 10.0
+            while errors.value == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert errors.value == 1
+            reply = _scrape(channel.path, {"cmd": "session_take",
+                                           "id": "orphan", "token": 1})
+        finally:
+            channel.close()
+        assert json.loads(reply) == {"blob": None}
+        assert errors.value == 1
