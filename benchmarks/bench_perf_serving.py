@@ -36,7 +36,6 @@ DATASET = "RacketSports"
 KERNELS = 400
 N_REQUESTS = 200
 MAX_BATCH = 64
-MAX_LATENCY = 0.010
 SUBMITTERS = 8  # concurrent clients, as HTTP handler threads would be
 PAIRS = 9  # sequential/batched pairs; the median ratio is judged
 
@@ -57,8 +56,7 @@ def _time_sequential(model, requests):
 
 
 def _time_batched(model, requests):
-    with MicroBatcher(model.predict, max_batch=MAX_BATCH,
-                      max_latency=MAX_LATENCY) as batcher:
+    with MicroBatcher(model.predict, max_batch=MAX_BATCH) as batcher:
         start = time.perf_counter()
         with ThreadPoolExecutor(max_workers=SUBMITTERS) as pool:
             futures = list(pool.map(batcher.submit, requests))

@@ -129,11 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8080,
                        help="0 picks a free ephemeral port")
     serve.add_argument("--max-batch", type=int, default=64,
-                       help="micro-batch panel-size ceiling")
-    serve.add_argument("--max-latency-ms", type=float, default=5.0,
-                       help="cap on a batch's wait for stragglers, taken "
-                            "only while requests arrive faster than batches "
-                            "finish")
+                       help="micro-batch panel-size ceiling; a batch is "
+                            "what is already queued, never waiting for more")
     serve.add_argument("--max-queue", type=int, default=1024,
                        help="bounded per-model request queue; overflow is "
                             "answered 429 (0 = unbounded)")
@@ -858,7 +855,6 @@ def _cmd_serve(args) -> int:
 
         policy = ComputePolicy(dtype=args.infer_dtype)
     knobs = dict(host=args.host, port=args.port, max_batch=args.max_batch,
-                 max_latency=args.max_latency_ms / 1000.0,
                  quiet=not args.verbose, max_queue=args.max_queue,
                  max_loaded_models=args.max_loaded_models,
                  max_body_bytes=args.max_body_bytes,

@@ -10,11 +10,11 @@ any thread, one worker thread drains the shared queue, coalesces up to
 panel, calls its one ``predict_fn`` on it, and fans the rows of the
 result back out through per-request futures.
 
-Waiting for stragglers adapts to arrivals: the worker waits up to
-``max_latency`` seconds for more only while requests arrive faster than
-batches finish — others were already queued behind the first request,
-or the previous batch coalesced more than one.  A request that arrives
-alone runs at once.
+A batch is what is already queued: the worker takes the first request
+and everything waiting behind it, up to ``max_batch``, and runs at
+once.  It never waits for more.  Under concurrency the backlog that
+builds while one batch runs fills the next, and a request that arrives
+alone runs alone.
 
 Per-series predictions are independent (PPV features and ridge scores
 are computed row-wise), so a label never depends on which other requests
@@ -28,9 +28,9 @@ models served at float64, which move by a few float64 ulps.
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 
@@ -39,8 +39,6 @@ import numpy as np
 from .metrics import BATCH_SIZE_BUCKETS, LATENCY_BUCKETS, Histogram
 
 __all__ = ["BatcherStats", "MicroBatcher", "QueueFullError"]
-
-_SHUTDOWN = object()
 
 
 class QueueFullError(RuntimeError):
@@ -69,8 +67,8 @@ class BatcherStats:
     rejected: int = 0
     batch_sizes: Histogram = field(
         default_factory=lambda: Histogram(BATCH_SIZE_BUCKETS), repr=False)
-    #: submit-to-completion seconds per request: queue wait + straggler
-    #: window + predict, the latency a client actually observes
+    #: submit-to-completion seconds per request: queue wait + predict,
+    #: the latency a client actually observes
     latency: Histogram = field(
         default_factory=lambda: Histogram(LATENCY_BUCKETS), repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
@@ -107,12 +105,6 @@ class MicroBatcher:
         inside someone else's batch.
     max_batch:
         Panel-size ceiling per predict call.
-    max_latency:
-        Cap, in seconds, on the worker's wait for stragglers after the
-        first request of a batch — the latency price of coalescing.  The
-        wait is taken only while arrivals are dense (other requests were
-        already queued, or the previous batch coalesced more than one);
-        a request that arrives alone runs at once.
     max_queue:
         Backpressure bound: when this many requests are already waiting,
         ``submit`` raises :class:`QueueFullError` immediately instead of
@@ -132,8 +124,8 @@ class MicroBatcher:
     stage_observer:
         Optional callable ``(stage, seconds)`` invoked per batch with
         the per-stage latency breakdown: ``queue_wait`` (submit to
-        dequeue, once per request), ``assemble`` (first dequeue to
-        predict start — the straggler wait, once per batch) and
+        dequeue, once per request), ``assemble`` (dequeue to predict
+        start, once per batch) and
         ``predict`` (the model call, once per batch).  The serving
         layer points this at its per-model stage histograms.
     tracer:
@@ -147,33 +139,32 @@ class MicroBatcher:
     """
 
     def __init__(self, predict_fn, *, input_shape: tuple[int, int] | None = None,
-                 max_batch: int = 64, max_latency: float = 0.005,
-                 max_queue: int = 0, admit_nan: bool = False,
+                 max_batch: int = 64, max_queue: int = 0,
+                 admit_nan: bool = False,
                  stats: BatcherStats | None = None,
                  stage_observer=None, tracer=None):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1; got {max_batch}")
-        if max_latency < 0:
-            raise ValueError(f"max_latency must be >= 0; got {max_latency}")
         if max_queue < 0:
             raise ValueError(f"max_queue must be >= 0; got {max_queue}")
         self._predict_fn = predict_fn
         self.input_shape = tuple(input_shape) if input_shape is not None else None
         self.max_batch = int(max_batch)
-        self.max_latency = float(max_latency)
         self.max_queue = int(max_queue)
         self.admit_nan = bool(admit_nan)
         self.stats = stats if stats is not None else BatcherStats()
         self._stage_observer = stage_observer
         self._tracer = tracer
-        self._queue: queue.Queue = queue.Queue()
+        #: admitted requests, oldest first: ``(series, future, submitted,
+        #: ctx)``.  One lock guards it and ``_closed``.  The worker waits
+        #: on ``_has_work`` for a submit to fill an empty queue; a
+        #: blocking submit (timeout > 0) waits on ``_has_room`` for a
+        #: batch to leave it.
+        self._pending: deque = deque()
         self._closed = False
-        #: serialises submits against close(), so no request can be enqueued
-        #: behind the shutdown sentinel and starve
-        self._submit_lock = threading.Lock()
-        #: notified whenever the worker drains items off the queue, so a
-        #: blocking submit (timeout > 0) can wait for space instead of polling
-        self._space = threading.Condition(self._submit_lock)
+        lock = threading.Lock()
+        self._has_work = threading.Condition(lock)
+        self._has_room = threading.Condition(lock)
         self._worker = threading.Thread(target=self._drain,
                                         name="micro-batcher", daemon=True)
         self._worker.start()
@@ -214,11 +205,11 @@ class MicroBatcher:
         ctx = tracer.current() if tracer is not None and tracer.enabled \
             else None
         deadline = None if not timeout else time.monotonic() + timeout
-        with self._submit_lock:
+        with self._has_room:
             while True:
                 if self._closed:
                     raise RuntimeError("cannot submit to a closed MicroBatcher")
-                depth = self._queue.qsize()
+                depth = len(self._pending)
                 if not (self.max_queue and depth
                         and depth + len(prepared) > self.max_queue):
                     break
@@ -231,10 +222,13 @@ class MicroBatcher:
                         f"request queue is full ({self.max_queue} waiting); "
                         f"retry later"
                     )
-                self._space.wait(remaining)
+                self._has_room.wait(remaining)
             now = time.monotonic()
-            for series, future in zip(prepared, futures):
-                self._queue.put((series, future, now, ctx))
+            self._pending.extend((series, future, now, ctx)
+                                 for series, future in zip(prepared, futures))
+            if not depth:
+                # The worker waits only on an empty queue.
+                self._has_work.notify()
         return futures
 
     def _validate(self, series) -> np.ndarray:
@@ -271,7 +265,7 @@ class MicroBatcher:
     @property
     def queue_depth(self) -> int:
         """Requests currently waiting to be coalesced (approximate)."""
-        return self._queue.qsize()
+        return len(self._pending)
 
     def predict(self, series, timeout: float | None = None):
         """Blocking single-series prediction (submit + wait)."""
@@ -285,16 +279,15 @@ class MicroBatcher:
         than hanging the closer forever.  Returns ``True`` when the
         worker actually exited (the queue fully drained).
         """
-        with self._submit_lock:
+        with self._has_work:
             if not self._closed:
+                # The worker empties the queue before it reads the flag,
+                # so every admitted request is served first.
                 self._closed = True
-                # Under the submit lock, every accepted request is already
-                # ahead of the sentinel in the FIFO queue, so the worker
-                # serves all of them before shutting down.
-                self._queue.put(_SHUTDOWN)
+                self._has_work.notify()
                 # Submits blocked waiting for queue space must observe the
                 # close now, not at their deadline.
-                self._space.notify_all()
+                self._has_room.notify_all()
         self._worker.join(timeout)
         return not self._worker.is_alive()
 
@@ -309,48 +302,30 @@ class MicroBatcher:
     # ------------------------------------------------------------------ #
 
     def _drain(self) -> None:
-        # Whether the previous batch coalesced more than one request:
-        # arrivals are then dense enough for the next batch to wait too.
-        coalesced = False
+        pending = self._pending
         while True:
-            item = self._queue.get()
-            if item is _SHUTDOWN:
-                return
-            batch = [item + (time.monotonic(),)]
-            stop = False
-            # Waiting only pays while requests arrive faster than batches
-            # finish; a request that arrives alone runs at once.
-            if coalesced or not self._queue.empty():
-                deadline = time.monotonic() + self.max_latency
-                while len(batch) < self.max_batch:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    try:
-                        item = self._queue.get(timeout=remaining)
-                    except queue.Empty:
-                        break
-                    if item is _SHUTDOWN:
-                        stop = True
-                        break
-                    batch.append(item + (time.monotonic(),))
-            coalesced = len(batch) > 1
-            # The batch is off the queue: wake any submit blocked on space.
-            with self._space:
-                self._space.notify_all()
-            self._run_batch(batch)
-            if stop:
-                return
+            with self._has_work:
+                while not pending:
+                    if self._closed:
+                        return
+                    self._has_work.wait()
+                # The batch is what is already queued; it never waits
+                # for more.
+                dequeued = time.monotonic()
+                batch = [pending.popleft()
+                         for _ in range(min(len(pending), self.max_batch))]
+                self._has_room.notify_all()
+            self._run_batch(batch, dequeued)
 
-    def _run_batch(self, batch) -> None:
-        """Predict one assembled *batch* (list of 5-tuples ``(series,
-        future, submitted, ctx, dequeued)``) and fan out."""
+    def _run_batch(self, batch, dequeued: float) -> None:
+        """Predict one *batch* (list of ``(series, future, submitted,
+        ctx)``, taken off the queue at *dequeued*) and fan out."""
         self.stats._record_batch(len(batch))
         predict_start = time.monotonic()
         observer = self._stage_observer
         if observer is not None:
-            observer("assemble", predict_start - batch[0][4])
-            for _, _, submitted, _, dequeued in batch:
+            observer("assemble", predict_start - dequeued)
+            for _, _, submitted, _ in batch:
                 observer("queue_wait", dequeued - submitted)
         predictions = None
         error = None
@@ -365,7 +340,7 @@ class MicroBatcher:
         predict_end = time.monotonic()
         if observer is not None:
             observer("predict", predict_end - predict_start)
-        self._trace_batch(batch, predict_start, predict_end, error)
+        self._trace_batch(batch, dequeued, predict_start, predict_end, error)
         if error is not None:
             self._finish(batch, error=error)
             return
@@ -377,7 +352,7 @@ class MicroBatcher:
             return
         self._finish(batch, results=predictions)
 
-    def _trace_batch(self, batch, predict_start: float,
+    def _trace_batch(self, batch, dequeued: float, predict_start: float,
                      predict_end: float, error) -> None:
         """Record queue/assemble/predict spans for every traced request.
 
@@ -390,7 +365,7 @@ class MicroBatcher:
             return
         size = len(batch)
         error_name = type(error).__name__ if error is not None else None
-        for _, _, submitted, ctx, dequeued in batch:
+        for _, _, submitted, ctx in batch:
             if ctx is None:
                 continue
             tracer.record_span("batcher.queue", start=submitted,
@@ -407,7 +382,7 @@ class MicroBatcher:
     def _finish(self, batch, results=None, error=None) -> None:
         """Complete every future in *batch*, recording observed latency."""
         now = time.monotonic()
-        for index, (_, future, submitted, _, _) in enumerate(batch):
+        for index, (_, future, submitted, _) in enumerate(batch):
             self.stats.latency.observe(now - submitted)
             if error is not None:
                 future.set_exception(error)

@@ -439,8 +439,7 @@ class ServingPool:
 
     def __init__(self, registry, *, workers: int = 2,
                  host: str = "127.0.0.1", port: int = 0,
-                 max_batch: int = 64, max_latency: float = 0.005,
-                 quiet: bool = True,
+                 max_batch: int = 64, quiet: bool = True,
                  max_queue: int = 1024, max_loaded_models: int = 0,
                  max_body_bytes: int = 10_000_000, access_log: bool = False,
                  compute_policy=None, reuse_port: bool | None = None,
@@ -462,7 +461,7 @@ class ServingPool:
         self.host = host
         self.port = int(port)  # resolved to the real port by start()
         self._service_options = dict(
-            max_batch=max_batch, max_latency=max_latency, max_queue=max_queue,
+            max_batch=max_batch, max_queue=max_queue,
             max_loaded_models=max_loaded_models,
             compute_policy=compute_policy)
         self._handler_options = dict(

@@ -305,7 +305,6 @@ class PredictionService:
     """
 
     def __init__(self, registry: ModelRegistry, *, max_batch: int = 64,
-                 max_latency: float = 0.005,
                  predict_timeout: float = 30.0, max_queue: int = 0,
                  max_loaded_models: int = 0, drain_timeout: float = 5.0,
                  compute_policy: ComputePolicy | None = None,
@@ -318,7 +317,6 @@ class PredictionService:
         self.tracer = tracer if tracer is not None else get_tracer()
         self.logger = logger if logger is not None else get_logger("server")
         self.max_batch = max_batch
-        self.max_latency = max_latency
         self.predict_timeout = predict_timeout
         self.max_queue = int(max_queue)
         self.max_loaded_models = int(max_loaded_models)
@@ -668,8 +666,7 @@ class PredictionService:
             entry = (record, MicroBatcher(
                 _predictor(model, preprocessed),
                 input_shape=tuple(shape) if shape else None,
-                max_batch=self.max_batch, max_latency=self.max_latency,
-                max_queue=self.max_queue,
+                max_batch=self.max_batch, max_queue=self.max_queue,
                 # prepare_panel imputes, so NaN requests are servable —
                 # and must stay so (missing values are a modelled archive
                 # characteristic).
@@ -1503,7 +1500,6 @@ class PredictionServer(ThreadingHTTPServer):
 
 
 def build_service(registry: ModelRegistry | str, *, max_batch: int = 64,
-                  max_latency: float = 0.005,
                   max_queue: int = 1024, max_loaded_models: int = 0,
                   compute_policy: ComputePolicy | None = None,
                   tracer=None) -> PredictionService:
@@ -1517,15 +1513,14 @@ def build_service(registry: ModelRegistry | str, *, max_batch: int = 64,
     if not isinstance(registry, ModelRegistry):
         registry = ModelRegistry(registry)
     return PredictionService(registry, max_batch=max_batch,
-                             max_latency=max_latency, max_queue=max_queue,
+                             max_queue=max_queue,
                              max_loaded_models=max_loaded_models,
                              compute_policy=compute_policy,
                              tracer=tracer)
 
 
 def create_server(registry: ModelRegistry | str, *, host: str = "127.0.0.1",
-                  port: int = 0, max_batch: int = 64, max_latency: float = 0.005,
-                  quiet: bool = True,
+                  port: int = 0, max_batch: int = 64, quiet: bool = True,
                   max_queue: int = 1024, max_loaded_models: int = 0,
                   max_body_bytes: int = 10_000_000,
                   access_log: bool = False,
@@ -1543,7 +1538,7 @@ def create_server(registry: ModelRegistry | str, *, host: str = "127.0.0.1",
     ``None`` honours each record's metadata with a float32 default.
     """
     service = build_service(registry, max_batch=max_batch,
-                            max_latency=max_latency, max_queue=max_queue,
+                            max_queue=max_queue,
                             max_loaded_models=max_loaded_models,
                             compute_policy=compute_policy, tracer=tracer)
     handler = type("Handler", (_Handler,), {

@@ -15,14 +15,14 @@ case): every window a block completes is admitted in one ``submit``, so
 a transport that reads several queued lines per step pays one admission
 for all of them.
 
-Windows are scored **pipelined**: up to ``max_inflight`` windows ride the
-batcher concurrently while results are handed back strictly in window
-order.  Backpressure composes in two layers — the submit blocks (bounded
-by ``queue_timeout``) while the shared queue is full, and the inflight
-cap makes one slow stream wait on its own oldest window rather than
-flooding the queue for everyone else.  The cap defaults to the service's
-``max_batch``, so one stream alone can fill the batch the batcher's
-straggler wait is waiting for.
+Windows are scored **pipelined**: up to the service's ``max_batch``
+windows ride the batcher concurrently while results are handed back
+strictly in window order.  Backpressure composes in two layers — the
+submit blocks (bounded by ``queue_timeout``) while the shared queue is
+full, and the in-flight cap makes one slow stream wait on its own oldest
+window rather than flooding the queue for everyone else.  Windows that
+queue while a batch runs form the next batch, so one stream alone can
+fill a batch.
 
 A :class:`~repro.streaming.drift.DriftMonitor` (optional but on by
 default) watches the per-window outcomes and flags concept shifts.
@@ -229,22 +229,15 @@ class StreamScorer:
     root span plus one ``stream.window`` span per resolved window, with
     the batcher's queue/assemble/predict spans parented underneath.
 
-    *max_inflight* caps the windows this stream keeps in the batcher at
-    once.  It defaults to the service's ``max_batch``: the batcher waits
-    for stragglers only to fill a batch, so a lone stream capped below
-    ``max_batch`` would stall on its own oldest window while the batcher
-    idles out its deadline waiting for windows the stream cannot send.
+    The stream keeps at most the service's ``max_batch`` windows in the
+    batcher at once, the most one batch can take.
     """
 
     def __init__(self, service, name: str, *, window: int, hop: int | None = None,
                  version=None, monitor: DriftMonitor | None = None,
-                 max_inflight: int | None = None, queue_timeout: float = 5.0,
+                 queue_timeout: float = 5.0,
                  adapter=None, journal=None,
                  session: StreamSession | None = None, on_resolve=None):
-        if max_inflight is None:
-            max_inflight = getattr(service, "max_batch", 64)
-        if max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1; got {max_inflight}")
         if window < 1:
             raise ValueError(f"window must be >= 1; got {window}")
         if hop is not None and hop < 1:
@@ -257,7 +250,8 @@ class StreamScorer:
         self.window = int(window)
         self.hop = int(hop) if hop is not None else self.window
         self.monitor = monitor if monitor is not None else DriftMonitor()
-        self.max_inflight = int(max_inflight)
+        #: windows this stream keeps in the batcher at once
+        self._in_flight_cap = int(getattr(service, "max_batch", 64))
         #: the shared queue's bound: one admission carries at most this
         #: many windows, so a block never holds more of the queue than
         #: one-at-a-time admission would (0 = unbounded)
@@ -351,7 +345,7 @@ class StreamScorer:
                 completed = self._push(values, t)
                 if completed is None:
                     continue
-                if len(self._pending) >= self.max_inflight:
+                if len(self._pending) >= self._in_flight_cap:
                     # This stream is ahead of its model: wait on our own
                     # oldest window instead of piling further onto the
                     # shared queue.  The windows that resolved with it
@@ -364,7 +358,7 @@ class StreamScorer:
                     index=index, start=end - self.window + 1, end=end,
                     truth=None if label is None else int(label),
                     panel=panel, ctx=self._feed_context(index)))
-                if len(self._pending) + len(due) >= self.max_inflight \
+                if len(self._pending) + len(due) >= self._in_flight_cap \
                         or len(due) == self._max_admit:
                     batch, due = due, []
                     self._admit(batch)

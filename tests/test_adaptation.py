@@ -364,7 +364,7 @@ class TestBackgroundRetraining:
                               adapter=controller) as scorer:
                 for sample in samples[:65 * WINDOW]:
                     scorer.feed(sample.values, sample.label)
-                # Up to max_inflight windows are still unresolved, and the
+                # Up to max_batch windows are still unresolved, and the
                 # controller only sees a window once it resolves.  Drain
                 # them so the flag and the collection quorum have reached
                 # it: wait() only joins a retrain that has already started.

@@ -366,7 +366,6 @@ def test_serve_parser_defaults():
     args = build_parser().parse_args(["serve", "--registry", "r"])
     assert args.port == 8080
     assert args.max_batch == 64
-    assert args.max_latency_ms == 5.0
     # load-hardening knobs default to safe bounds
     assert args.max_queue == 1024
     assert args.max_loaded_models == 0

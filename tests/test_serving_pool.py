@@ -99,7 +99,9 @@ def _predict_body(port, body, retries=3):
     for _ in range(retries):
         try:
             return _request(port, "POST", "/v1/models/demo/predict", body)
-        except OSError as error:
+        except (OSError, http.client.HTTPException) as error:
+            # A SIGKILL can tear a response after its headers
+            # (IncompleteRead), which is retried like a reset.
             last = error
             time.sleep(0.05)
     raise last
@@ -199,8 +201,8 @@ class TestRespawnUnderLoad:
                 try:
                     status, _, _ = _predict(pool.port, series)
                     statuses.append(status)
-                except OSError as error:  # pragma: no cover - would fail below
-                    failures.append(error)
+                except (OSError, http.client.HTTPException) as error:
+                    failures.append(error)  # pragma: no cover - fails below
 
         threads = [threading.Thread(target=_burst) for _ in range(4)]
         for thread in threads:

@@ -78,9 +78,9 @@ def _post(server, path, payload):
 class TestKeepAliveLatency:
     def test_sequential_predicts_on_one_connection_are_fast(self, server,
                                                             problem):
-        """A lone request pays neither the client's delayed ACK (the
+        """A lone request does not pay the client's delayed ACK (the
         response is two writes; with Nagle on, the body waits ~40 ms for
-        the ACK of the headers) nor a straggler wait."""
+        the ACK of the headers)."""
         X, _ = problem
         p50 = keep_alive_p50_ms(server.port, "/v1/models/demo/predict",
                                 {"series": X[0].tolist()})

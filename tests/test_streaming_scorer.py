@@ -1,6 +1,7 @@
 """The stream scorer against a real PredictionService, transport-free."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -82,19 +83,23 @@ class TestStreamScorer:
         assert len(results) == expected_windows(len(source), WINDOW, hop)
 
     def test_results_arrive_in_window_order_with_small_inflight(
-            self, service, problem):
+            self, registry, problem):
         X, y = problem
         source = ReplaySource(X[:10], y[:10])
-        with StreamScorer(service, "demo", window=WINDOW, hop=4,
-                          max_inflight=2) as scorer:
-            results = _drive(scorer, source)
+        service = PredictionService(registry, max_batch=2)
+        try:
+            with StreamScorer(service, "demo", window=WINDOW,
+                              hop=4) as scorer:
+                results = _drive(scorer, source)
+        finally:
+            service.close()
         assert [r.index for r in results] == list(range(len(results)))
 
     def test_streaming_shares_the_bounded_queue(self, registry, problem):
         """A full shared queue blocks the stream (bounded) instead of
         erroring: backpressure, not failure."""
         X, y = problem
-        service = PredictionService(registry, max_queue=4, max_latency=0.001)
+        service = PredictionService(registry, max_queue=4)
         try:
             with StreamScorer(service, "demo", window=WINDOW, hop=1,
                               queue_timeout=10.0) as scorer:
@@ -104,21 +109,54 @@ class TestStreamScorer:
             service.close()
 
     def test_lone_stream_fills_its_batch(self, registry, problem):
-        """The in-flight cap defaults to the service's ``max_batch``, so
-        one unpaced stream alone fills the batch the straggler wait
-        holds out for, instead of stalling on its own oldest window."""
+        """The in-flight cap is the service's ``max_batch``: while its
+        first batch runs, one unpaced stream alone keeps ``max_batch``
+        windows in the batcher, and no more."""
         X, y = problem
-        service = PredictionService(registry, max_batch=64, max_latency=0.25)
+        max_batch = 16
+        service = PredictionService(registry, max_batch=max_batch)
+        _, batcher = service._resolve("demo", None)
+        predict, release = batcher._predict_fn, threading.Event()
+        sizes = []  # of the batches that reached the model
+
+        def gated(panel):
+            sizes.append(len(panel))
+            release.wait(timeout=30)
+            return predict(panel)
+
+        def in_flight():
+            return sizes[0] + batcher.queue_depth if sizes else 0
+
+        batcher._predict_fn = gated
+        results, failures = [], []
+
+        def drive(scorer):
+            try:
+                results.extend(_drive(scorer, ReplaySource(X, y)))
+            except Exception as error:  # noqa: BLE001 - asserted below
+                failures.append(error)
+
         try:
             with StreamScorer(service, "demo", window=WINDOW,
                               hop=4) as scorer:
-                results = _drive(scorer, ReplaySource(X, y))
-            stats = service._stats[("demo", 1)]
+                driver = threading.Thread(target=drive, args=(scorer,))
+                driver.start()
+                try:
+                    deadline = time.monotonic() + 10
+                    while in_flight() < max_batch \
+                            and time.monotonic() < deadline:
+                        time.sleep(0.01)
+                    time.sleep(0.1)  # the stream now waits on its oldest
+                    assert in_flight() == max_batch
+                finally:
+                    release.set()
+                    driver.join(timeout=60)
+                assert not driver.is_alive()
         finally:
             service.close()
+        assert not failures
         assert [r.index for r in results] \
             == list(range(expected_windows(len(X) * WINDOW, WINDOW, 4)))
-        assert stats.max_batch_size == 64
 
     def test_unknown_model_fails_at_open(self, service):
         with pytest.raises(ServingError) as excinfo:
